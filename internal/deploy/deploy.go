@@ -46,26 +46,12 @@ type Spec struct {
 	NumRdv int
 	// Shards selects the simulation engine: ≤1 (the default) runs the
 	// serial scheduler, byte-identical to every earlier release; >1 runs
-	// the conservative sharded engine with peers partitioned by site
-	// (clamped to the number of modeled sites). Protocol outcomes are
-	// deterministic for a given (Seed, Shards) pair but differ between
-	// shard counts: per-node RNG streams derive from per-shard seeds.
+	// the conservative window-pipelined sharded engine with peers
+	// partitioned by site (clamped to the number of modeled sites).
+	// Protocol outcomes are bit-reproducible at any GOMAXPROCS for a given
+	// (Seed, Shards) pair but differ between shard counts: per-node RNG
+	// streams derive from per-shard seeds.
 	Shards int
-	// PipelineWindows is deprecated and ignored: window pipelining is now
-	// the default whenever Shards > 1. Set BarrierWindows to opt back into
-	// the global-barrier engine.
-	PipelineWindows bool
-	// BarrierWindows, with Shards > 1, opts out of window pipelining and
-	// runs the sharded engine's original global window barrier: every
-	// shard waits for the globally slowest shard between windows. The
-	// barrier path is byte-identical to earlier barrier-mode releases; the
-	// default pipelined path replaces the barrier with per-(src,dst)
-	// sealed exchange queues, so a shard starts its next window as soon as
-	// its own inputs are sealed. Both are bit-reproducible at any
-	// GOMAXPROCS, but window boundaries differ between the two, so
-	// outcomes are deterministic per (Seed, Shards, BarrierWindows)
-	// triple.
-	BarrierWindows bool
 	// Hibernate freeze-dries steady-state edge peers between events: once
 	// an edge holds its lease and has no pending queries, streams or
 	// timers beyond the armed renewals, its service maps, metric caches
@@ -111,7 +97,7 @@ type Overlay struct {
 	Edges []*node.Node
 
 	// Metrics is the overlay-level registry: fabric traffic counters
-	// (jxta_net_*) plus, on sharded runs, the engine's window/barrier
+	// (jxta_net_*) plus, on sharded runs, the engine's window
 	// instrumentation (jxta_sim_*). Per-node protocol instruments live on
 	// each node's own registry (node.Node.Metrics). Engine instruments are
 	// sampled at encode time; read them from the driver side, between Run
@@ -182,10 +168,7 @@ func Build(spec Spec) (*Overlay, error) {
 		if lookahead <= 0 {
 			return nil, fmt.Errorf("deploy: model admits no conservative lookahead across %d shards (zero inter-site latency)", shards)
 		}
-		ss := simnet.NewSharded(spec.Seed, shards, lookahead)
-		if !spec.BarrierWindows {
-			ss.EnablePipelining(model.ShardLagMatrix(assign, shards, lookahead))
-		}
+		ss := simnet.NewSharded(spec.Seed, shards, lookahead, model.ShardLagMatrix(assign, shards, lookahead))
 		net, err := transport.NewShardedNetwork(ss, model, assign)
 		if err != nil {
 			return nil, err
@@ -305,7 +288,7 @@ func (o *Overlay) newEnv(name string, site netmodel.Site) *simnet.NodeEnv {
 }
 
 // Engine returns the sharded engine when one is running (nil for serial
-// overlays); experiments use it to read window/barrier instrumentation.
+// overlays); experiments use it to read window instrumentation.
 func (o *Overlay) Engine() *simnet.ShardedScheduler { return o.sharded }
 
 // instrument builds the overlay registry over the fabric and (when sharded)
@@ -336,7 +319,7 @@ func (o *Overlay) instrument() {
 		func() uint64 { return ss.ParallelStats().TotalEvents })
 	o.Metrics.CounterFunc("jxta_sim_critical_events_total", "Per-window maxima summed: the parallel critical path in events.",
 		func() uint64 { return ss.ParallelStats().CriticalEvents })
-	o.Metrics.CounterFunc("jxta_sim_cross_shard_events_total", "Events exchanged through the window-barrier queues.",
+	o.Metrics.CounterFunc("jxta_sim_cross_shard_events_total", "Events exchanged through the cross-shard queues.",
 		func() uint64 { return ss.ParallelStats().CrossShard })
 	o.Metrics.CounterFunc("jxta_sim_busy_shard_sum_total", "Per-window busy-shard counts summed (mean busy = this over windows).",
 		func() uint64 { return ss.ParallelStats().BusyShardSum })

@@ -187,7 +187,7 @@ func RunDiscovery(spec DiscoverySpec) (DiscoveryResult, error) {
 	runQuery = func(i int) {
 		if i >= spec.Queries {
 			done = true
-			o.Sched.Halt()
+			haltFrom(searcher)
 			return
 		}
 		// A query may receive duplicate responses (walk + replica paths

@@ -83,7 +83,7 @@ func TestDiscoveryMostlySucceedsUnderLoss(t *testing.T) {
 	run = func(i int) {
 		if i >= 30 {
 			done = true
-			o.Sched.Halt()
+			haltFrom(search)
 			return
 		}
 		advanced := false

@@ -19,7 +19,7 @@ type NodeMetricsSummary struct {
 	// in Totals — nothing else is dropped).
 	SampledNodes int `json:"sampled_nodes"`
 	// Overlay is the overlay-level registry: fabric traffic, engine
-	// window/barrier instrumentation on sharded runs.
+	// window instrumentation on sharded runs.
 	Overlay map[string]float64 `json:"overlay"`
 	// Totals sums every series name across all nodes. For counters this
 	// is the overlay-wide total; for gauges it is a population sum (e.g.

@@ -11,6 +11,7 @@ import (
 	"jxta/internal/metrics"
 	"jxta/internal/node"
 	"jxta/internal/rendezvous"
+	"jxta/internal/simnet"
 	"jxta/internal/topology"
 	"jxta/internal/transport"
 )
@@ -96,6 +97,13 @@ func meanLiveView(o *deploy.Overlay) float64 {
 	return float64(sum) / float64(n)
 }
 
+// haltFrom stops the overlay's current Run from inside one of n's events.
+// The halt goes through n's own scheduler: on the serial engine that is the
+// engine itself, and on the sharded engine it is n's shard, which lets the
+// engine stop at a window fixed by event content (simnet.ShardedScheduler
+// refuses an engine-level Halt from a shard event).
+func haltFrom(n *node.Node) { n.Env.(*simnet.NodeEnv).Scheduler().Halt() }
+
 // runQueryPhase issues count spaced lookups for advertisements named
 // "<prefix>0".."<prefix>{advCount-1}" from the searcher, flushing its cache
 // between queries so every lookup travels the overlay. It is the shared
@@ -109,7 +117,7 @@ func runQueryPhase(o *deploy.Overlay, searcher *node.Node, count, advCount int, 
 	runQuery = func(i int) {
 		if i >= count {
 			done = true
-			o.Sched.Halt()
+			haltFrom(searcher)
 			return
 		}
 		advanced := false

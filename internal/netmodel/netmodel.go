@@ -250,8 +250,8 @@ func (m *Model) ShardLookahead(assign []int) time.Duration {
 // w+lag[a][b]; because the window itself is the global minimum floor minus
 // 1ns, every entry is ≥ 1. Distant shard pairs get larger lags, which is
 // what lets the pipelined engine run them several windows apart — with a
-// uniform lag of 1 the pipelined critical path provably equals the barrier
-// one. Diagonal entries are unused and set to 1.
+// uniform lag of 1 the pipelined critical path provably equals that of a
+// global per-window barrier. Diagonal entries are unused and set to 1.
 func (m *Model) ShardLagMatrix(assign []int, shards int, window time.Duration) [][]int {
 	lag := make([][]int, shards)
 	for a := range lag {

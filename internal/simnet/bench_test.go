@@ -87,14 +87,14 @@ func BenchmarkTickerHeavy(b *testing.B) {
 	b.ReportMetric(float64(s.Steps())/float64(b.N), "events/op")
 }
 
-// BenchmarkShardBarrier measures the per-window coordination overhead of
-// the sharded engine: every shard has exactly one event per window, so the
-// cost per op is dominated by dispatch, quiesce, and merge — the price a
-// workload pays even when windows carry little work.
-func BenchmarkShardBarrier(b *testing.B) {
+// BenchmarkShardWindow measures the per-window coordination overhead of
+// the sharded engine: every shard has exactly one event per single-window
+// Run, so the cost per op is dominated by dispatch, quiesce, and merge —
+// the price a workload pays even when windows carry little work.
+func BenchmarkShardWindow(b *testing.B) {
 	for _, shards := range []int{2, 4, 8} {
 		b.Run(benchName("shards", shards), func(b *testing.B) {
-			ss := NewSharded(1, shards, time.Millisecond)
+			ss := NewSharded(1, shards, time.Millisecond, nil)
 			fired := 0
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -114,12 +114,12 @@ func BenchmarkShardBarrier(b *testing.B) {
 }
 
 // BenchmarkCrossShardDelivery measures the exchange-queue path: enqueue on
-// the source shard, (timestamp, source, sequence) merge at the barrier,
+// the source shard, (timestamp, source, sequence) merge at the quiesced point,
 // injection into the destination heap, and execution — the full life of one
 // cross-shard message, without transport on top.
 func BenchmarkCrossShardDelivery(b *testing.B) {
 	const batch = 256
-	ss := NewSharded(1, 2, time.Millisecond)
+	ss := NewSharded(1, 2, time.Millisecond, nil)
 	fired := 0
 	deliver := func(any) { fired++ }
 	b.ReportAllocs()

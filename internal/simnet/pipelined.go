@@ -8,30 +8,26 @@ import (
 	"time"
 )
 
-// Window-pipelined conservative engine.
+// Window-pipelined phases of the sharded engine.
 //
-// The barrier engine in sharded.go synchronises every shard at the end of
-// every lookahead window: the wall time of a window is its slowest shard,
-// even when the other shards' next windows depend only on input that is
-// already in hand. Pipelining removes the global barrier. Cross-shard
-// events travel through per-(src,dst) exchange queues bucketed by the
-// sender's window; a sender "seals" a window when it finishes executing it,
-// and a receiver may execute its window T as soon as every inbound queue is
-// sealed far enough — specifically up to T - lag(src,dst), where the lag
-// matrix counts how many whole windows the (src,dst) latency floor spans.
-// Shards on distant site pairs therefore run several windows apart without
-// ever waiting on each other, which both overlaps wall time and loosens the
-// critical-path speedup bound that the global barrier caps at the
-// burst-alignment limit.
+// A phase covers the stretch of virtual time between two driver events (or
+// the horizon) as a lattice of lookahead windows, with no global barrier
+// between them. Cross-shard events travel through per-(src,dst) exchange
+// queues bucketed by the sender's window; a sender "seals" a window when it
+// finishes executing it, and a receiver may execute its window T as soon as
+// every inbound queue is sealed far enough — specifically up to
+// T - lag(src,dst), where the lag matrix counts how many whole windows the
+// (src,dst) latency floor spans. Shards on distant site pairs therefore run
+// several windows apart without ever waiting on each other, which both
+// overlaps wall time and loosens the critical-path speedup bound that a
+// global barrier would cap at the burst-alignment limit.
 //
 // Determinism: every execution and every queue drain below is decided from
 // event content (timestamps, window indices, sealed watermarks), never from
 // thread timing. Which windows a shard executes, which bucket entries it
 // drains before each window, and the (at, src, seq) order it inserts them
 // in are all invariant across goroutine interleavings, so a fixed-seed run
-// is bit-reproducible at any GOMAXPROCS — same contract as the barrier
-// path, different fingerprint (window boundaries differ), which is why
-// pipelining sits behind its own golden.
+// is bit-reproducible at any GOMAXPROCS.
 
 // pipeBucket holds the cross-shard events one shard emitted toward another
 // during one of its execution windows. Buckets in a pair queue are strictly
@@ -59,13 +55,15 @@ type fpoint struct {
 	f   uint64
 }
 
-// pipeState carries the per-phase control state of the pipelined engine.
+// pipeState carries the per-phase control state of the sharded engine.
 type pipeState struct {
 	// lag[src][dst] is how many whole lookahead windows the (src,dst)
 	// latency floor spans (≥ 1): an event emitted during sender window w
 	// arrives no earlier than window w+lag, so the receiver may run window
-	// T once sealed[src] ≥ T-lag[src][dst] for every src.
-	lag [][]int32
+	// T once sealed[src] ≥ T-lag[src][dst] for every src. maxLag[s] is the
+	// largest lag out of s.
+	lag    [][]int32
+	maxLag []int64
 	// pairs are the (src,dst) exchange queues, indexed src*n+dst.
 	pairs []pipePair
 	// sealed[s] is the highest window index shard s has finished (or
@@ -88,6 +86,13 @@ type pipeState struct {
 	// goroutines run; the spawn/join edges order it against their reads.
 	inPhase bool
 
+	// last is the highest window the phase may execute: k-1 until a shard
+	// halts, then the minimum over halts of the furthest window any shard
+	// could have reached when the halt was requested. Written under pmu
+	// before the halting window's seal, and read by the shard loops after
+	// their sealed loads, so a shard that sees the seal sees the cap.
+	last atomic.Int64
+
 	// Everything below is guarded by pmu.
 	pmu  sync.Mutex
 	cond *sync.Cond
@@ -104,6 +109,11 @@ type pipeState struct {
 	nextw     []int64
 	liveStuck int
 	exited    int
+	// halted records that a shard halted during the phase; failed holds
+	// the first panic a shard goroutine raised. runPhase re-raises it on
+	// Run's caller, where a lookahead violation must surface.
+	halted bool
+	failed any
 	// hist[s] is shard s's critical-path history; busy counts executing
 	// shards per window index; total/cross accumulate phase stats.
 	hist  [][]fpoint
@@ -114,23 +124,15 @@ type pipeState struct {
 	batch [][]xentry
 }
 
-// EnablePipelining switches the engine from the global window barrier to
-// per-(src,dst) sealed exchange queues. lag[src][dst] must be ≥ 1 for
-// src ≠ dst and satisfy lag·lookahead ≤ the (src,dst) cross-shard latency
-// floor (netmodel.ShardLagMatrix derives it). Must be called while the
-// engine is quiesced (normally right after NewSharded). A single-shard
-// engine ignores the call: it already runs barrier-free to the horizon.
-func (ss *ShardedScheduler) EnablePipelining(lag [][]int) {
-	n := len(ss.shards)
-	if n == 1 {
-		ss.pipe = nil
-		return
-	}
-	if len(lag) != n {
+// init sizes the phase state for n shards and validates the lag matrix
+// (nil: one window for every pair).
+func (p *pipeState) init(n int, lag [][]int) {
+	if lag != nil && len(lag) != n {
 		panic(fmt.Sprintf("simnet: lag matrix is %d×?, want %d×%d", len(lag), n, n))
 	}
-	p := &pipeState{
+	*p = pipeState{
 		lag:    make([][]int32, n),
+		maxLag: make([]int64, n),
 		pairs:  make([]pipePair, n*n),
 		sealed: make([]atomic.Int64, n),
 		curWin: make([]int64, n),
@@ -141,11 +143,15 @@ func (ss *ShardedScheduler) EnablePipelining(lag [][]int) {
 		batch:  make([][]xentry, n),
 	}
 	for s := range p.lag {
-		if len(lag[s]) != n {
+		if lag != nil && len(lag[s]) != n {
 			panic(fmt.Sprintf("simnet: lag matrix row %d has %d entries, want %d", s, len(lag[s]), n))
 		}
 		p.lag[s] = make([]int32, n)
-		for d, l := range lag[s] {
+		for d := range p.lag[s] {
+			l := 1
+			if lag != nil {
+				l = lag[s][d]
+			}
 			if s != d && l < 1 {
 				panic(fmt.Sprintf("simnet: lag[%d][%d] = %d, want ≥ 1", s, d, l))
 			}
@@ -153,63 +159,55 @@ func (ss *ShardedScheduler) EnablePipelining(lag [][]int) {
 				l = 1
 			}
 			p.lag[s][d] = int32(l)
+			if s != d && int64(l) > p.maxLag[s] {
+				p.maxLag[s] = int64(l)
+			}
 		}
 	}
 	p.cond = sync.NewCond(&p.pmu)
-	ss.pipe = p
 }
 
-// Pipelined reports whether the engine runs the pipelined path.
-func (ss *ShardedScheduler) Pipelined() bool { return ss.pipe != nil }
-
-// runPipelined is the Run loop of the pipelined engine. Driver events still
-// quiesce every shard at their exact timestamp — they may touch any node —
-// so the loop alternates driver windows with pipelined phases spanning the
-// whole stretch of virtual time to the next driver event or the horizon.
-// Halt is phase-granular here (the barrier engine is window-granular): a
-// halt requested mid-phase takes effect at the next phase boundary, keeping
-// the stop point content-deterministic.
-func (ss *ShardedScheduler) runPipelined(until time.Duration) uint64 {
-	start := ss.Steps()
-	defer ss.park()
-	horizon := until + 1
-	for !ss.halted.Load() {
-		ss.mergeCross()
-		t, ok := ss.nextTime()
-		if !ok || t > until {
-			break
+// enqueue appends e to pair q's bucket for sender window w.
+func (p *pipeState) enqueue(q int, w int64, e xentry) {
+	pr := &p.pairs[q]
+	pr.mu.Lock()
+	if k := len(pr.buckets); k > 0 && pr.buckets[k-1].window == w {
+		b := &pr.buckets[k-1]
+		if e.at < b.minAt {
+			b.minAt = e.at
 		}
-		if dt, ok := ss.driver.nextEventAt(); ok && dt == t {
-			ss.setTime(t)
-			ss.driver.runWindow(t + 1)
-			continue
-		}
-		end := horizon
-		if dt, ok := ss.driver.nextEventAt(); ok && dt < end {
-			end = dt
-		}
-		ss.runPipelinedPhase(t, end)
+		b.entries = append(b.entries, e)
+	} else {
+		pr.buckets = append(pr.buckets, pipeBucket{window: w, minAt: e.at, entries: []xentry{e}})
 	}
-	if !ss.halted.Load() {
-		ss.setTime(until)
-	}
-	return ss.Steps() - start
+	pr.mu.Unlock()
 }
 
-// runPipelinedPhase executes every event in [base, end) across all shards
-// with per-window sealing instead of a barrier. A phase that fits in a
-// single window degenerates to exactly one barrier window and reuses that
-// path (identical semantics, no goroutine spawn).
-func (ss *ShardedScheduler) runPipelinedPhase(base, end time.Duration) {
-	w := ss.lookahead
-	k := int64((end - base + w - 1) / w)
+// runPhase executes every event in [base, end) across all shards with
+// per-window sealing instead of a barrier. A phase that fits in a single
+// window — or any phase of a one-shard engine, which has no cross-shard
+// causality to protect — runs as exactly one window (no goroutine spawn).
+//
+// A shard halts the phase by calling its own scheduler's Halt. Say shard s
+// does so while it runs window h: until s seals h, sealed[s] ≤ h-1, so no
+// shard can have started a window past C = h-1 + maxLag[s]. The phase then
+// runs every event-bearing window ≤ C and no later one (the minimum C over
+// all halts), and its clocks stop at the end of window C — a stop point
+// fixed by event content, identical at any GOMAXPROCS.
+func (ss *ShardedScheduler) runPhase(base, end time.Duration) {
+	n := len(ss.shards)
+	k := int64(1)
+	if n > 1 {
+		w := ss.lookahead
+		k = int64((end - base + w - 1) / w)
+	}
 	if k <= 1 {
 		ss.runShardWindow(end)
 		return
 	}
-	p := ss.pipe
-	n := len(ss.shards)
+	p := &ss.pipe
 	p.base, p.end, p.k = base, end, k
+	p.last.Store(k - 1)
 	for s := 0; s < n; s++ {
 		p.sealed[s].Store(-1)
 		p.curWin[s] = -1
@@ -221,18 +219,40 @@ func (ss *ShardedScheduler) runPipelinedPhase(base, end time.Duration) {
 		delete(p.busy, win)
 	}
 	p.ver, p.liveStuck, p.exited = 0, 0, 0
+	p.halted, p.failed = false, nil
 	p.total, p.cross = 0, 0
 	p.inPhase = true
+	ss.inShards.Store(true)
 	var wg sync.WaitGroup
 	for s := 0; s < n; s++ {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					p.pmu.Lock()
+					if p.failed == nil {
+						p.failed = r
+					}
+					p.cond.Broadcast()
+					p.pmu.Unlock()
+				}
+			}()
 			ss.pipeShardLoop(s)
 		}(s)
 	}
 	wg.Wait()
+	ss.inShards.Store(false)
 	p.inPhase = false
+	if p.failed != nil {
+		panic(p.failed)
+	}
+	if p.halted {
+		ss.halted.Store(true)
+		if e := base + time.Duration(p.last.Load()+1)*ss.lookahead; e < end {
+			end = e
+		}
+	}
 
 	// Advance every clock to the phase end, then flush leftover bucket
 	// entries into their destination heaps. Every leftover arrives at or
@@ -255,30 +275,12 @@ func (ss *ShardedScheduler) runPipelinedPhase(base, end time.Duration) {
 			}
 			pr.buckets = pr.buckets[:0]
 		}
-		if len(batch) == 0 {
-			ss.merged = batch
-			continue
-		}
-		sortXEntries(batch)
-		sh := ss.shards[dst]
-		for i := range batch {
-			e := &batch[i]
-			if e.at < end {
-				panic(fmt.Sprintf("simnet: pipelined leftover at %v precedes phase end %v", e.at, end))
-			}
-			sh.AtCall(e.at, e.fn, e.arg)
-		}
-		ss.stat.CrossShard += uint64(len(batch))
-		for i := range batch {
-			batch[i] = xentry{}
-		}
-		ss.merged = batch[:0]
+		ss.mergeInto(dst, batch, end)
 	}
 
 	// Fold phase stats into the engine counters. The critical path of a
-	// pipelined phase is the deepest per-shard completion front F — the
-	// lag-matrix recurrence in pipeRunWindow — which is what replaces the
-	// barrier's per-window max.
+	// phase is the deepest per-shard completion front F — the lag-matrix
+	// recurrence in pipeRunWindow.
 	var crit uint64
 	for s := 0; s < n; s++ {
 		if h := p.hist[s]; len(h) > 0 && h[len(h)-1].f > crit {
@@ -301,16 +303,17 @@ func (ss *ShardedScheduler) runPipelinedPhase(base, end time.Duration) {
 // the earliest window it can prove complete, or registers as stuck and
 // sleeps until new input is sealed or an idle jump fast-forwards the phase.
 func (ss *ShardedScheduler) pipeShardLoop(s int) {
-	p := ss.pipe
+	p := &ss.pipe
 	n := len(ss.shards)
 	sh := ss.shards[s]
 	w := ss.lookahead
 	k := p.k
 	for {
-		if p.sealed[s].Load() == k-1 {
-			// Done: nothing below end remains for this shard, and every
-			// future inbound event provably arrives at ≥ end. Register as
-			// permanently exited so the all-stuck check still fires.
+		if p.sealed[s].Load() >= p.last.Load() {
+			// Done: nothing up to the last window remains for this shard,
+			// and every future inbound event provably arrives after it.
+			// Register as permanently exited so the all-stuck check still
+			// fires.
 			p.pmu.Lock()
 			p.exited++
 			if p.liveStuck+p.exited == n {
@@ -320,8 +323,11 @@ func (ss *ShardedScheduler) pipeShardLoop(s int) {
 			return
 		}
 		p.pmu.Lock()
-		ver := p.ver
+		ver, failed := p.ver, p.failed != nil
 		p.pmu.Unlock()
+		if failed {
+			return
+		}
 
 		// kReady is the highest window this shard could prove complete:
 		// every inbound queue must be sealed to at least kReady-lag.
@@ -359,12 +365,15 @@ func (ss *ShardedScheduler) pipeShardLoop(s int) {
 			pr.mu.Unlock()
 		}
 
+		// Read the halt cap only now: a seal this shard's kReady already
+		// counted was published after any cap it carries.
+		last := p.last.Load()
 		nextw := k // sentinel: no pending event below end
 		if have && x < p.end {
 			kx := int64((x - p.base) / w)
-			if kx <= kReady {
+			if kx <= kReady && kx <= last {
 				if kx <= p.sealed[s].Load() {
-					panic(fmt.Sprintf("simnet: pipelined shard %d re-entered window %d (sealed %d)", s, kx, p.sealed[s].Load()))
+					panic(fmt.Sprintf("simnet: shard %d has an event at %v in window %d it already sealed: cross-shard lookahead violated", s, x, kx))
 				}
 				ss.pipeRunWindow(s, kx)
 				continue
@@ -390,7 +399,7 @@ func (ss *ShardedScheduler) pipeShardLoop(s int) {
 		if p.liveStuck+p.exited == n {
 			p.jumpLocked()
 		} else {
-			for p.stuck[s] {
+			for p.stuck[s] && p.failed == nil {
 				p.cond.Wait()
 			}
 		}
@@ -400,13 +409,13 @@ func (ss *ShardedScheduler) pipeShardLoop(s int) {
 
 // jumpLocked fast-forwards an all-stuck phase: no shard can execute, so the
 // earliest window anyone will ever execute again is kmin = min over stuck
-// shards of their pending window (k if everyone is idle). Sealing every
+// shards of their pending window (last+1 if everyone is idle). Sealing every
 // shard to kmin-1 in one step is therefore safe — emissions from future
 // executions land at ≥ kmin+1 — and it unblocks the kmin shard immediately,
 // replacing O(k) lag-at-a-time seal ratcheting through empty stretches with
 // O(1) per executed window. Caller holds pmu.
 func (p *pipeState) jumpLocked() {
-	kmin := p.k
+	kmin := p.last.Load() + 1
 	for s, st := range p.stuck {
 		if st && p.nextw[s] < kmin {
 			kmin = p.nextw[s]
@@ -431,7 +440,7 @@ func (p *pipeState) jumpLocked() {
 // (at, src, seq) order, run the window, then publish the seal and the
 // critical-path update.
 func (ss *ShardedScheduler) pipeRunWindow(s int, kx int64) {
-	p := ss.pipe
+	p := &ss.pipe
 	n := len(ss.shards)
 	sh := ss.shards[s]
 	batch := p.batch[s][:0]
@@ -476,8 +485,11 @@ func (ss *ShardedScheduler) pipeRunWindow(s int, kx int64) {
 		winEnd = p.end
 	}
 	steps := sh.runWindow(winEnd)
+	halted := sh.halted
+	sh.halted = false
 
-	// Seal and publish under pmu. F(s, kx) = max(F(s, prev), max over
+	// Seal and publish under pmu, capping the phase first if the window
+	// halted (see runPhase). F(s, kx) = max(F(s, prev), max over
 	// senders of F(src, kx-lag)) + steps: window kx could not start before
 	// its own previous window or any sender window it waited on finished.
 	// The sender history below the watermark is final because the kReady
@@ -500,6 +512,12 @@ func (ss *ShardedScheduler) pipeRunWindow(s int, kx int64) {
 	p.busy[kx]++
 	p.total += steps
 	p.cross += drained
+	if halted {
+		p.halted = true
+		if c := kx - 1 + p.maxLag[s]; c < p.last.Load() {
+			p.last.Store(c)
+		}
+	}
 	p.sealed[s].Store(kx)
 	p.ver++
 	for i := range p.stuck {
@@ -529,7 +547,7 @@ func histAt(h []fpoint, k int64) uint64 {
 }
 
 // sortXEntries orders a cross-shard batch by (at, src, seq) — the merge
-// order shared by the barrier and pipelined paths.
+// order shared by the quiesced merge and the phase drains.
 func sortXEntries(batch []xentry) {
 	sort.Slice(batch, func(i, j int) bool {
 		a, b := &batch[i], &batch[j]

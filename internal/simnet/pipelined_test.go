@@ -6,28 +6,13 @@ import (
 	"time"
 )
 
-// uniformLag builds the minimal valid lag matrix (every pair one window).
-func uniformLag(n int) [][]int {
-	lag := make([][]int, n)
-	for i := range lag {
-		lag[i] = make([]int, n)
-		for j := range lag[i] {
-			lag[i][j] = 1
-		}
-	}
-	return lag
-}
-
 // pipePingPong drives the same RNG-jittered cross-shard cascade as
 // TestShardedDeterministicReplay and returns an order-sensitive fingerprint
 // of the execution: determinism means the exact sequence is invariant, not
 // just the totals.
-func pipePingPong(t *testing.T, pipelined bool) (uint64, uint64, uint64) {
+func pipePingPong(t *testing.T) (uint64, uint64, uint64) {
 	t.Helper()
-	ss := NewSharded(42, 4, time.Millisecond)
-	if pipelined {
-		ss.EnablePipelining(uniformLag(4))
-	}
+	ss := NewSharded(42, 4, time.Millisecond, nil)
 	envs := make([]*NodeEnv, 4)
 	for i := range envs {
 		envs[i] = ss.NewEnvOn(i, "n")
@@ -59,8 +44,8 @@ func pipePingPong(t *testing.T, pipelined bool) (uint64, uint64, uint64) {
 }
 
 func TestPipelinedDeterministicReplay(t *testing.T) {
-	s1, x1, h1 := pipePingPong(t, true)
-	s2, x2, h2 := pipePingPong(t, true)
+	s1, x1, h1 := pipePingPong(t)
+	s2, x2, h2 := pipePingPong(t)
 	if s1 != s2 || x1 != x2 || h1 != h2 {
 		t.Fatalf("pipelined replay diverged: (%d,%d,%x) vs (%d,%d,%x)", s1, x1, h1, s2, x2, h2)
 	}
@@ -78,7 +63,7 @@ func TestPipelinedGOMAXPROCSInvariant(t *testing.T) {
 	var got []res
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
-		s, x, h := pipePingPong(t, true)
+		s, x, h := pipePingPong(t)
 		got = append(got, res{s, x, h})
 	}
 	for i := 1; i < len(got); i++ {
@@ -88,46 +73,55 @@ func TestPipelinedGOMAXPROCSInvariant(t *testing.T) {
 	}
 }
 
-func TestPipelinedMatchesBarrierEventContent(t *testing.T) {
+func TestPipelinedMatchesSerialEventContent(t *testing.T) {
 	// A deterministic (RNG-free) workload must execute the identical event
-	// multiset under the barrier and pipelined paths: pipelining changes
-	// window boundaries, never which events run or when in virtual time.
-	// The fingerprint is order-insensitive (a commutative sum) because
-	// equal-timestamp ties across paths may legitimately order differently.
-	run := func(pipelined bool) (uint64, uint64) {
-		ss := NewSharded(7, 3, time.Millisecond)
-		if pipelined {
-			ss.EnablePipelining(uniformLag(3))
-		}
+	// multiset on the sharded engine and on one serial heap: windows and
+	// pipelining change how virtual time is cut up, never which events run
+	// or when. The fingerprint is order-insensitive (a commutative sum)
+	// because equal-timestamp ties across engines may legitimately order
+	// differently.
+	run := func(at func(shard int, when time.Duration, fn func()), xs func(src, dst int, when time.Duration, fn func()), run func()) uint64 {
 		// sums[i] is only touched by events executing on shard i; the
-		// combine below is commutative, so it is mode-independent.
+		// combine below is commutative, so it is engine-independent.
 		var sums [3]uint64
-		var cascade func(shard int, at time.Duration)
-		cascade = func(shard int, at time.Duration) {
+		var cascade func(shard int, when time.Duration)
+		cascade = func(shard int, when time.Duration) {
 			dst := (shard + 1) % 3
-			ss.XSchedule(shard, dst, at, func(any) {
-				sums[dst] += uint64(at) * uint64(shard*7+13)
-				if at < 40*time.Millisecond {
-					cascade(dst, at+1500*time.Microsecond)
+			xs(shard, dst, when, func() {
+				sums[dst] += uint64(when) * uint64(shard*7+13)
+				if when < 40*time.Millisecond {
+					cascade(dst, when+1500*time.Microsecond)
 				}
-			}, nil)
+			})
 		}
 		for i := 0; i < 3; i++ {
 			i := i
-			ss.Shard(i).At(0, func() { cascade(i, 2*time.Millisecond) })
-			e := ss.NewEnvOn(i, "n")
+			at(i, 0, func() { cascade(i, 2*time.Millisecond) })
 			for j := 1; j <= 20; j++ {
-				at := time.Duration(j) * 2 * time.Millisecond // ties with cascade arrivals
-				e.After(at, func() { sums[i] += uint64(at) * uint64(i+29) })
+				when := time.Duration(j) * 2 * time.Millisecond // ties with cascade arrivals
+				at(i, when, func() { sums[i] += uint64(when) * uint64(i+29) })
 			}
 		}
-		ss.Run(60 * time.Millisecond)
-		return ss.Steps(), sums[0] + sums[1] + sums[2]
+		run()
+		return sums[0] + sums[1] + sums[2]
 	}
-	bs, bsum := run(false)
-	ps, psum := run(true)
-	if bs != ps || bsum != psum {
-		t.Fatalf("pipelined content diverged from barrier: steps %d vs %d, sum %x vs %x", ps, bs, psum, bsum)
+	ss := NewSharded(7, 3, time.Millisecond, nil)
+	psum := run(
+		func(shard int, when time.Duration, fn func()) { ss.Shard(shard).At(when, fn) },
+		func(src, dst int, when time.Duration, fn func()) {
+			ss.XSchedule(src, dst, when, func(any) { fn() }, nil)
+		},
+		func() { ss.Run(60 * time.Millisecond) })
+	serial := NewScheduler(7)
+	ssum := run(
+		func(_ int, when time.Duration, fn func()) { serial.At(when, fn) },
+		func(_, _ int, when time.Duration, fn func()) { serial.At(when, fn) },
+		func() { serial.Run(60 * time.Millisecond) })
+	if ps, s := ss.Steps(), serial.Steps(); ps != s || psum != ssum {
+		t.Fatalf("sharded content diverged from serial: steps %d vs %d, sum %x vs %x", ps, s, psum, ssum)
+	}
+	if ss.ParallelStats().CrossShard == 0 {
+		t.Fatal("scenario exercised no cross-shard traffic")
 	}
 }
 
@@ -135,8 +129,7 @@ func TestPipelinedSparseEventsJumpWindows(t *testing.T) {
 	// One busy shard, one idle shard, events seconds apart with a 1ms
 	// window: the idle-jump protocol must fast-forward the lattice instead
 	// of seal-ratcheting through thousands of empty windows per event.
-	ss := NewSharded(1, 2, time.Millisecond)
-	ss.EnablePipelining(uniformLag(2))
+	ss := NewSharded(1, 2, time.Millisecond, nil)
 	e := ss.NewEnvOn(0, "a")
 	fired := 0
 	for i := 1; i <= 5; i++ {
@@ -165,15 +158,12 @@ func TestPipelinedSparseEventsJumpWindows(t *testing.T) {
 
 func TestPipelinedPerPairLagLoosensCriticalPath(t *testing.T) {
 	// Two shards exchange strictly alternating messages with a 5-window
-	// latency. Under the barrier model every window holds one busy shard,
-	// so CriticalEvents equals TotalEvents (bound 1.0). With lag 5 the
-	// reply chain still serialises — but each shard's *local* follow-up
-	// work overlaps the flight time, so the pipelined critical path must
-	// come out strictly shorter than the total.
-	ss := NewSharded(3, 2, time.Millisecond)
-	lag := uniformLag(2)
-	lag[0][1], lag[1][0] = 5, 5
-	ss.EnablePipelining(lag)
+	// latency. Were every window a global barrier, each would hold one
+	// busy shard, so CriticalEvents would equal TotalEvents (bound 1.0).
+	// With lag 5 the reply chain still serialises — but each shard's
+	// *local* follow-up work overlaps the flight time, so the pipelined
+	// critical path must come out strictly shorter than the total.
+	ss := NewSharded(3, 2, time.Millisecond, [][]int{{1, 5}, {5, 1}})
 	for i := 0; i < 2; i++ {
 		ss.NewEnvOn(i, "n")
 	}
@@ -205,8 +195,7 @@ func TestPipelinedPerPairLagLoosensCriticalPath(t *testing.T) {
 func TestPipelinedLeftoverCrossPhaseDelivery(t *testing.T) {
 	// A cross-shard event emitted during a phase but arriving beyond its
 	// end must survive the final drain and fire in a later Run.
-	ss := NewSharded(9, 2, time.Millisecond)
-	ss.EnablePipelining(uniformLag(2))
+	ss := NewSharded(9, 2, time.Millisecond, nil)
 	fired := false
 	ss.Shard(0).At(2*time.Millisecond, func() {
 		ss.XSchedule(0, 1, 50*time.Millisecond, func(any) { fired = true }, nil)
@@ -225,10 +214,10 @@ func TestPipelinedLeftoverCrossPhaseDelivery(t *testing.T) {
 }
 
 func TestPipelinedDriverQuiescesShards(t *testing.T) {
-	// Driver callbacks split pipelined phases exactly as they split
-	// barrier windows: every shard clock aligned at the driver timestamp.
-	ss := NewSharded(1, 2, time.Millisecond)
-	ss.EnablePipelining(uniformLag(2))
+	// Driver callbacks split pipelined phases even when the shards could
+	// otherwise run several windows apart: every shard clock is aligned at
+	// the driver timestamp.
+	ss := NewSharded(1, 2, time.Millisecond, [][]int{{1, 3}, {3, 1}})
 	e0 := ss.NewEnvOn(0, "a")
 	e1 := ss.NewEnvOn(1, "b")
 	var before, after int
@@ -259,23 +248,25 @@ func TestPipelinedDriverQuiescesShards(t *testing.T) {
 }
 
 func TestPipelinedSingleShardIsNoop(t *testing.T) {
-	ss := NewSharded(1, 1, 0)
-	ss.EnablePipelining(uniformLag(1))
-	if ss.Pipelined() {
-		t.Fatal("single-shard engine must ignore EnablePipelining")
-	}
+	// One shard has no lattice to pipeline: a Run is one window however
+	// far apart its events lie, with or without a lag matrix.
+	ss := NewSharded(1, 1, 0, [][]int{{1}})
 	fired := 0
-	ss.NewEnvOn(0, "a").After(3*time.Millisecond, func() { fired++ })
+	e := ss.NewEnvOn(0, "a")
+	e.After(3*time.Millisecond, func() { fired++ })
+	e.After(7*time.Millisecond, func() { fired++ })
 	ss.Run(10 * time.Millisecond)
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1", fired)
+	if fired != 2 {
+		t.Fatalf("fired = %d, want 2", fired)
+	}
+	if w := ss.ParallelStats().Windows; w != 1 {
+		t.Fatalf("Windows = %d, want 1", w)
 	}
 }
 
 func TestPipelinedRunLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
-	ss := NewSharded(1, 4, time.Millisecond)
-	ss.EnablePipelining(uniformLag(4))
+	ss := NewSharded(1, 4, time.Millisecond, nil)
 	for i := 0; i < 4; i++ {
 		e := ss.NewEnvOn(i, "n")
 		for j := 0; j < 8; j++ {

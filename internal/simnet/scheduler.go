@@ -380,8 +380,8 @@ func (s *Scheduler) nextEventAt() (time.Duration, bool) {
 // unlike Run's inclusive one — then advances now to end. It is the per-shard
 // body of one conservative lookahead window: events the shard creates for
 // itself inside the window run in the same pass; events for other shards are
-// queued through the sharded engine and merged at the barrier. It returns
-// the number of events executed.
+// queued through the sharded engine and merged before the receiving
+// shard's window that needs them. It returns the number of events executed.
 func (s *Scheduler) runWindow(end time.Duration) uint64 {
 	start := s.steps
 	for {
@@ -410,7 +410,9 @@ func (s *Scheduler) RunAll() uint64 {
 }
 
 // Halt stops Run/RunAll after the current event returns. Intended for
-// callbacks that detect an experiment end condition early.
+// callbacks that detect an experiment end condition early. On a shard of a
+// ShardedScheduler it stops the whole engine at a window boundary instead
+// (see ShardedScheduler.Halt).
 func (s *Scheduler) Halt() { s.halted = true }
 
 // DeriveRand returns a deterministic RNG stream for the given index,

@@ -20,8 +20,9 @@ type Engine interface {
 	Pending() int
 	// Run executes events up to and including virtual time until.
 	Run(until time.Duration) uint64
-	// Halt stops the current Run early (window-granular on the sharded
-	// engine; see ShardedScheduler.Halt).
+	// Halt stops the current Run early. On the sharded engine it must be
+	// called from driver context; a shard event halts through its own
+	// shard's scheduler instead (see ShardedScheduler.Halt).
 	Halt()
 	// After schedules a driver-level callback at now+d; on the sharded
 	// engine it runs with every shard quiesced (see ShardedScheduler.After).
@@ -51,10 +52,10 @@ type workerDone struct {
 	steps uint64
 }
 
-// ParallelStats instruments the window/barrier machinery. TotalEvents over
-// CriticalEvents is the workload's achievable speedup bound: each window's
-// wall time is its slowest shard, so the critical path is the sum of
-// per-window maxima regardless of core count.
+// ParallelStats instruments the window machinery. TotalEvents over
+// CriticalEvents is the workload's achievable speedup bound: the critical
+// path is the deepest chain of windows that had to wait on each other, so
+// it bounds wall time regardless of core count.
 type ParallelStats struct {
 	// Windows counts shard execution windows (driver windows excluded).
 	Windows uint64
@@ -64,10 +65,10 @@ type ParallelStats struct {
 	MaxBusy int
 	// TotalEvents counts events executed inside shard windows.
 	TotalEvents uint64
-	// CriticalEvents sums each window's maximum per-shard event count —
-	// the parallel critical path in events.
+	// CriticalEvents is the parallel critical path in events (see
+	// runPhase).
 	CriticalEvents uint64
-	// CrossShard counts events exchanged through the barrier queues.
+	// CrossShard counts events exchanged between shards.
 	CrossShard uint64
 }
 
@@ -83,26 +84,32 @@ func (p ParallelStats) SpeedupBound() float64 {
 
 // ShardedScheduler is the conservative parallel engine: it partitions the
 // simulation into per-core shards, each an independent serial Scheduler, and
-// runs them concurrently inside lookahead windows no wider than the minimum
-// cross-shard delivery latency. An event created during window [T, T+W) for
-// another shard therefore always lands at ≥ T+W — the classic
+// runs them concurrently over a lattice of lookahead windows no wider than
+// the minimum cross-shard delivery latency. An event created during window
+// [T, T+W) for another shard therefore always lands at ≥ T+W — the classic
 // Chandy–Misra–Bryant argument — so shards never need to roll back.
 //
-// Cross-shard events travel through per-(src,dst) FIFO queues drained at the
-// window barrier; the merge order is fixed by (timestamp, source shard,
-// sequence), and every shard runs its window on a serial scheduler with its
-// own derived seed, so a fixed-seed run is bit-reproducible at any
-// GOMAXPROCS — the coordinator decides window boundaries from event content
-// alone, never from thread timing.
+// Between driver events the shards run window-pipelined (pipelined.go):
+// each shard starts its next window as soon as its own inbound queues are
+// sealed far enough, with no global barrier. Cross-shard events merge in
+// (timestamp, source shard, sequence) order, and every shard runs on a
+// serial scheduler with its own derived seed, so a fixed-seed run is
+// bit-reproducible at any GOMAXPROCS — every scheduling decision is taken
+// from event content alone, never from thread timing.
 type ShardedScheduler struct {
 	shards    []*Scheduler
 	driver    *Scheduler
 	lookahead time.Duration
 	now       time.Duration
 	halted    atomic.Bool
-	// xq holds the per-pair exchange queues, indexed src*len(shards)+dst;
-	// xseq is the per-pair FIFO sequence counter. During a window each
-	// queue is appended to by exactly one shard goroutine.
+	// inShards is set while shard windows execute; Halt uses it to refuse
+	// calls that could only have come from a shard event.
+	inShards atomic.Bool
+	// xq holds the per-pair exchange queues used outside pipelined phases
+	// (driver/build context and single-window phases), indexed
+	// src*len(shards)+dst; xseq is the per-pair FIFO sequence counter,
+	// shared with the phase queues. Each queue is appended to by exactly
+	// one shard goroutine at a time.
 	xq   [][]xentry
 	xseq []uint64
 	// jobs/done are the parked worker channels; workers are spawned lazily
@@ -114,19 +121,21 @@ type ShardedScheduler struct {
 	merged   []xentry
 	dispatch []int
 	stat     ParallelStats
-	// pipe, when non-nil, replaces the global window barrier with the
-	// window-pipelined path (see pipelined.go / EnablePipelining).
-	pipe *pipeState
+	pipe     pipeState
 }
 
-// NewSharded creates a sharded engine with the given number of shards and
-// conservative lookahead. The lookahead must be positive when shards > 1:
-// a zero window would admit cross-shard events into the running window,
-// which is exactly the causality violation conservative PDES exists to
-// prevent, so that configuration panics rather than silently corrupting
-// determinism. Each shard's scheduler gets its own seed derived from the
-// master seed, decorrelating per-shard RNG streams.
-func NewSharded(seed int64, shards int, lookahead time.Duration) *ShardedScheduler {
+// NewSharded creates a sharded engine with the given number of shards,
+// conservative lookahead and window-lag matrix. lag[src][dst] is how many
+// whole lookahead windows the (src,dst) latency floor spans: it must be ≥ 1
+// off the diagonal and satisfy lag·lookahead ≤ that floor
+// (netmodel.ShardLagMatrix derives it); nil means one window for every
+// pair. The lookahead must be positive when shards > 1: a zero window would
+// admit cross-shard events into the running window, which is exactly the
+// causality violation conservative PDES exists to prevent, so that
+// configuration panics rather than silently corrupting determinism. Each
+// shard's scheduler gets its own seed derived from the master seed,
+// decorrelating per-shard RNG streams.
+func NewSharded(seed int64, shards int, lookahead time.Duration, lag [][]int) *ShardedScheduler {
 	if shards < 1 {
 		panic(fmt.Sprintf("simnet: NewSharded with %d shards", shards))
 	}
@@ -143,6 +152,7 @@ func NewSharded(seed int64, shards int, lookahead time.Duration) *ShardedSchedul
 	for i := range ss.shards {
 		ss.shards[i] = NewScheduler(deriveSeed(seed, int64(i)))
 	}
+	ss.pipe.init(shards, lag)
 	return ss
 }
 
@@ -166,7 +176,7 @@ func (ss *ShardedScheduler) Shard(i int) *Scheduler { return ss.shards[i] }
 // Lookahead returns the conservative window width.
 func (ss *ShardedScheduler) Lookahead() time.Duration { return ss.lookahead }
 
-// ParallelStats returns a snapshot of the window/barrier instrumentation.
+// ParallelStats returns a snapshot of the window instrumentation.
 func (ss *ShardedScheduler) ParallelStats() ParallelStats { return ss.stat }
 
 // Now implements Engine.
@@ -191,27 +201,47 @@ func (ss *ShardedScheduler) Pending() int {
 	for _, q := range ss.xq {
 		p += len(q)
 	}
-	if ss.pipe != nil {
-		for i := range ss.pipe.pairs {
-			for _, b := range ss.pipe.pairs[i].buckets {
-				p += len(b.entries)
-			}
+	for i := range ss.pipe.pairs {
+		for _, b := range ss.pipe.pairs[i].buckets {
+			p += len(b.entries)
 		}
 	}
 	return p
 }
 
-// Halt implements Engine. Unlike the serial engine's event-granular halt,
-// the sharded engine stops at the next window barrier: shards mid-window
-// finish the window (anything else would make the stop point depend on
-// thread timing and break replay determinism).
-func (ss *ShardedScheduler) Halt() { ss.halted.Store(true) }
+// Halt implements Engine for driver callbacks: the Run stops once the
+// current driver event returns. A shard event cannot name itself through
+// the engine, so it halts through its own shard's scheduler
+// (NodeEnv.Scheduler().Halt()); the engine then stops at a window decided
+// by event content alone — the end of that window when it is the only one
+// running, or, inside a pipelined phase, the furthest window any shard
+// could already have reached (see pipeState.last). Shards mid-window always
+// finish the window; anything finer would make the stop point depend on
+// thread timing and break replay. Calling this method from a shard event
+// panics.
+func (ss *ShardedScheduler) Halt() {
+	if ss.inShards.Load() {
+		panic("simnet: ShardedScheduler.Halt called from a shard event; halt through the shard's own scheduler")
+	}
+	ss.halted.Store(true)
+}
+
+// collectHalts folds halts requested through shard schedulers into the
+// engine's flag. Quiesced points only; clearing the flags keeps a stale
+// request from leaking into the next Run.
+func (ss *ShardedScheduler) collectHalts() {
+	for _, sh := range ss.shards {
+		if sh.halted {
+			sh.halted = false
+			ss.halted.Store(true)
+		}
+	}
+}
 
 // After implements Engine. Driver callbacks — churn injection, experiment
 // sampling, query launchers — may touch nodes on any shard, so they run on a
 // dedicated serial scheduler at their exact timestamp with every shard
-// quiesced at that time: the window loop splits barriers at driver event
-// times.
+// quiesced at that time: Run splits its phases at driver event times.
 func (ss *ShardedScheduler) After(d time.Duration, fn func()) Event {
 	return ss.driver.After(d, fn)
 }
@@ -232,48 +262,35 @@ func (ss *ShardedScheduler) NewEnvOn(shard int, name string) *NodeEnv {
 
 // XSchedule enqueues fn(arg) for the dst shard at absolute time at. It must
 // be called from the src shard's execution context during a window, or from
-// the driver/build context while shards are quiesced; entries are merged
-// into dst's heap at the next barrier in (at, src, seq) order. The
+// the driver/build context while shards are quiesced. Inside a pipelined
+// phase the entry goes to the (src,dst) bucket of the sender's current
+// window; otherwise it waits in the exchange queue for the next quiesced
+// merge. Either way entries reach dst's heap in (at, src, seq) order. The
 // conservative contract requires at to be no earlier than the end of the
-// current window — violations panic at merge time.
+// sender's window plus the pair's lag — violations panic when the entry is
+// merged.
 func (ss *ShardedScheduler) XSchedule(src, dst int, at time.Duration, fn func(any), arg any) {
 	q := src*len(ss.shards) + dst
-	if p := ss.pipe; p != nil && p.inPhase {
-		// Pipelined phase: bucket the entry under the sender's current
-		// window in the (src,dst) pair queue. The seq counter is shared
-		// with the barrier path so per-pair FIFO order stays monotone
-		// across modes; each pair row is written by exactly one shard
-		// goroutine, so the counter needs no lock.
-		e := xentry{at: at, seq: ss.xseq[q], fn: fn, arg: arg, src: int32(src)}
-		ss.xseq[q]++
+	e := xentry{at: at, seq: ss.xseq[q], fn: fn, arg: arg, src: int32(src)}
+	ss.xseq[q]++
+	if p := &ss.pipe; p.inPhase {
+		// Each pair row is written by exactly one shard goroutine, so the
+		// seq counter needs no lock.
 		if src == dst {
 			ss.shards[dst].AtCall(at, fn, arg)
 			return
 		}
-		w := p.curWin[src]
-		pr := &p.pairs[q]
-		pr.mu.Lock()
-		if k := len(pr.buckets); k > 0 && pr.buckets[k-1].window == w {
-			b := &pr.buckets[k-1]
-			if at < b.minAt {
-				b.minAt = at
-			}
-			b.entries = append(b.entries, e)
-		} else {
-			pr.buckets = append(pr.buckets, pipeBucket{window: w, minAt: at, entries: []xentry{e}})
-		}
-		pr.mu.Unlock()
+		p.enqueue(q, p.curWin[src], e)
 		return
 	}
-	ss.xq[q] = append(ss.xq[q], xentry{at: at, seq: ss.xseq[q], fn: fn, arg: arg, src: int32(src)})
-	ss.xseq[q]++
+	ss.xq[q] = append(ss.xq[q], e)
 }
 
 // mergeCross drains every exchange queue into its destination shard's heap.
-// Runs at barriers only (all shards quiesced). The per-destination batch is
-// sorted by (timestamp, source shard, sequence) before insertion so the
-// destination's heap order — and therefore replay — never depends on which
-// goroutine filled which queue first.
+// Runs at quiesced points only. The per-destination batch is sorted by
+// (timestamp, source shard, sequence) before insertion so the destination's
+// heap order — and therefore replay — never depends on which goroutine
+// filled which queue first.
 func (ss *ShardedScheduler) mergeCross() {
 	n := len(ss.shards)
 	for dst := 0; dst < n; dst++ {
@@ -289,25 +306,32 @@ func (ss *ShardedScheduler) mergeCross() {
 			}
 			ss.xq[q] = ss.xq[q][:0]
 		}
-		if len(batch) == 0 {
-			ss.merged = batch
-			continue
-		}
-		sortXEntries(batch)
-		sh := ss.shards[dst]
-		for i := range batch {
-			e := &batch[i]
-			if e.at < sh.now {
-				panic(fmt.Sprintf("simnet: cross-shard event at %v violates lookahead window ending %v", e.at, sh.now))
-			}
-			sh.AtCall(e.at, e.fn, e.arg)
-		}
-		ss.stat.CrossShard += uint64(len(batch))
-		for i := range batch {
-			batch[i] = xentry{}
-		}
-		ss.merged = batch[:0]
+		ss.mergeInto(dst, batch, ss.shards[dst].now)
 	}
+}
+
+// mergeInto sorts a quiesced batch for shard dst into (at, src, seq) order,
+// inserts it, and recycles the buffer as ss.merged. An entry earlier than
+// floor broke the lookahead contract and panics.
+func (ss *ShardedScheduler) mergeInto(dst int, batch []xentry, floor time.Duration) {
+	if len(batch) == 0 {
+		ss.merged = batch
+		return
+	}
+	sortXEntries(batch)
+	sh := ss.shards[dst]
+	for i := range batch {
+		e := &batch[i]
+		if e.at < floor {
+			panic(fmt.Sprintf("simnet: cross-shard event at %v violates lookahead window ending %v", e.at, floor))
+		}
+		sh.AtCall(e.at, e.fn, e.arg)
+	}
+	ss.stat.CrossShard += uint64(len(batch))
+	for i := range batch {
+		batch[i] = xentry{}
+	}
+	ss.merged = batch[:0]
 }
 
 // nextTime returns the earliest live event time across shards and driver.
@@ -321,8 +345,8 @@ func (ss *ShardedScheduler) nextTime() (time.Duration, bool) {
 	return best, ok
 }
 
-// setTime aligns every clock — engine, driver, shards — at a barrier point.
-// Only called while quiesced, with no live event earlier than t.
+// setTime aligns every clock — engine, driver, shards — at a quiesced point.
+// Only called with no live event earlier than t.
 func (ss *ShardedScheduler) setTime(t time.Duration) {
 	ss.now = t
 	ss.driver.now = t
@@ -331,48 +355,38 @@ func (ss *ShardedScheduler) setTime(t time.Duration) {
 	}
 }
 
-// Run implements Engine: execute events up to and including until. The loop
-// is window-synchronous: pick the global minimum next-event time T, run
-// every busy shard concurrently over [T, min(T+lookahead, next driver
-// event, until+1ns)), exchange cross-shard events at the barrier, repeat.
-// Empty stretches of virtual time are skipped in one step because T is
-// always an actual event time, so sparse workloads pay per event, not per
-// window of silence.
+// Run implements Engine: execute events up to and including until. Driver
+// events run at their exact timestamp with every shard quiesced — they may
+// touch any node — so the loop alternates driver windows with shard phases
+// spanning the whole stretch of virtual time to the next driver event or
+// the horizon. Each phase starts at an actual event time, so empty
+// stretches of virtual time are skipped in one step.
 func (ss *ShardedScheduler) Run(until time.Duration) uint64 {
 	start := ss.Steps()
 	ss.halted.Store(false)
-	if ss.pipe != nil {
-		return ss.runPipelined(until)
+	for _, sh := range ss.shards {
+		sh.halted = false
 	}
 	defer ss.park()
-	horizon := until + 1 // exclusive window bound admitting events at exactly until
+	horizon := until + 1 // exclusive bound admitting events at exactly until
 	for !ss.halted.Load() {
 		ss.mergeCross()
 		t, ok := ss.nextTime()
 		if !ok || t > until {
 			break
 		}
+		end := horizon
 		if dt, ok := ss.driver.nextEventAt(); ok && dt == t {
-			// Driver events run at their exact timestamp with every
-			// shard quiesced at t (no shard has an event before t, so
-			// advancing their clocks is safe). They may touch any node.
+			// No shard has an event before t, so advancing their clocks
+			// is safe.
 			ss.setTime(t)
 			ss.driver.runWindow(t + 1)
+			ss.collectHalts()
 			continue
-		}
-		end := t + ss.lookahead
-		if len(ss.shards) == 1 {
-			// One shard has no cross-shard causality to protect; run
-			// straight to the horizon (windows would only add barriers).
-			end = horizon
-		}
-		if dt, ok := ss.driver.nextEventAt(); ok && dt < end {
+		} else if ok && dt < end {
 			end = dt
 		}
-		if end > horizon {
-			end = horizon
-		}
-		ss.runShardWindow(end)
+		ss.runPhase(t, end)
 	}
 	if !ss.halted.Load() {
 		ss.setTime(until)
@@ -380,9 +394,10 @@ func (ss *ShardedScheduler) Run(until time.Duration) uint64 {
 	return ss.Steps() - start
 }
 
-// runShardWindow executes one conservative window [*, end) across all busy
-// shards. The first busy shard runs inline on the coordinator — on a
-// sparse workload where one shard is busy per window this makes the sharded
+// runShardWindow executes one window [*, end) across all busy shards: the
+// whole phase when it fits in a single window or the engine has one shard.
+// The first busy shard runs inline on the coordinator — on a sparse
+// workload where one shard is busy per window this makes the sharded
 // engine's hot path identical in shape to the serial engine's — and the
 // rest are dispatched to parked worker goroutines.
 func (ss *ShardedScheduler) runShardWindow(end time.Duration) {
@@ -400,6 +415,7 @@ func (ss *ShardedScheduler) runShardWindow(end time.Duration) {
 		}
 	}
 	var maxSteps, sumSteps uint64
+	ss.inShards.Store(true)
 	if len(toDispatch) > 0 {
 		ss.ensureWorkers()
 		for _, i := range toDispatch {
@@ -418,7 +434,9 @@ func (ss *ShardedScheduler) runShardWindow(end time.Duration) {
 			maxSteps = d.steps
 		}
 	}
+	ss.inShards.Store(false)
 	ss.dispatch = toDispatch[:0]
+	ss.collectHalts()
 	for _, sh := range ss.shards {
 		if sh.now < end {
 			sh.now = end

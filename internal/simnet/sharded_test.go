@@ -9,16 +9,16 @@ import (
 func TestShardedZeroLookaheadPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewSharded(seed, 2, 0) did not panic")
+			t.Fatal("NewSharded(seed, 2, 0, nil) did not panic")
 		}
 	}()
-	NewSharded(1, 2, 0)
+	NewSharded(1, 2, 0, nil)
 }
 
 func TestShardedSingleShardIgnoresLookahead(t *testing.T) {
 	// One shard has no cross-shard causality; zero lookahead is fine and
 	// Run must not degenerate into zero-width windows.
-	ss := NewSharded(1, 1, 0)
+	ss := NewSharded(1, 1, 0, nil)
 	fired := 0
 	ss.NewEnvOn(0, "a").After(3*time.Millisecond, func() { fired++ })
 	ss.Run(10 * time.Millisecond)
@@ -33,7 +33,7 @@ func TestShardedSingleShardIgnoresLookahead(t *testing.T) {
 func TestShardedEmptyWindowsSkipped(t *testing.T) {
 	// Sparse events: the loop must jump between event times, not grind
 	// through every lookahead-width window of silence.
-	ss := NewSharded(1, 2, time.Millisecond)
+	ss := NewSharded(1, 2, time.Millisecond, nil)
 	e := ss.NewEnvOn(0, "a")
 	fired := 0
 	for i := 1; i <= 5; i++ {
@@ -54,8 +54,8 @@ func TestShardedEmptyWindowsSkipped(t *testing.T) {
 func TestShardedBarrierMergeOrder(t *testing.T) {
 	// Entries from both source shards into one destination must execute
 	// in (timestamp, source shard, sequence) order regardless of enqueue
-	// order across queues.
-	ss := NewSharded(1, 2, time.Millisecond)
+	// order across queues, when merged at a quiesced point.
+	ss := NewSharded(1, 2, time.Millisecond, nil)
 	var got []int
 	rec := func(label int) (func(any), any) {
 		return func(any) { got = append(got, label) }, nil
@@ -82,7 +82,7 @@ func TestShardedBarrierMergeOrder(t *testing.T) {
 }
 
 func TestShardedPendingCountsExchangeQueues(t *testing.T) {
-	ss := NewSharded(1, 2, time.Millisecond)
+	ss := NewSharded(1, 2, time.Millisecond, nil)
 	ss.NewEnvOn(0, "a").After(time.Millisecond, func() {})
 	ss.XSchedule(0, 1, 2*time.Millisecond, func(any) {}, nil)
 	if p := ss.Pending(); p != 2 {
@@ -99,9 +99,9 @@ func TestShardedPendingCountsExchangeQueues(t *testing.T) {
 
 func TestShardedDriverRunsQuiesced(t *testing.T) {
 	// A driver callback must observe every shard clock aligned at its own
-	// exact timestamp — the quiesced-barrier contract that makes
+	// exact timestamp — the quiesced-driver contract that makes
 	// cross-shard mutation (churn injection) safe.
-	ss := NewSharded(1, 2, time.Millisecond)
+	ss := NewSharded(1, 2, time.Millisecond, nil)
 	e0 := ss.NewEnvOn(0, "a")
 	e1 := ss.NewEnvOn(1, "b")
 	var before, after int
@@ -131,8 +131,10 @@ func TestShardedDriverRunsQuiesced(t *testing.T) {
 	}
 }
 
-func TestShardedHaltStopsAtBarrier(t *testing.T) {
-	ss := NewSharded(1, 2, time.Millisecond)
+func TestShardedHaltStopsAtWindow(t *testing.T) {
+	// A driver-context halt stops the Run at the driver event's own
+	// timestamp: every shard is quiesced there.
+	ss := NewSharded(1, 2, time.Millisecond, nil)
 	e := ss.NewEnvOn(0, "a")
 	fired := 0
 	e.After(2*time.Millisecond, func() { fired++ })
@@ -150,12 +152,95 @@ func TestShardedHaltStopsAtBarrier(t *testing.T) {
 	if fired != 2 {
 		t.Fatalf("fired after resume = %d, want 2", fired)
 	}
+
+	// A shard halting inside a single-window phase finishes the window
+	// (its 20.8ms event runs) and stops the Run before the driver event
+	// that closes it.
+	ss.Shard(1).At(20500*time.Microsecond, ss.Shard(1).Halt)
+	ss.Shard(1).At(20800*time.Microsecond, func() { fired++ })
+	ss.After(time.Millisecond, func() { t.Error("driver event after a shard halt ran") })
+	ss.Run(30 * time.Millisecond)
+	if fired != 3 || ss.Now() != 21*time.Millisecond {
+		t.Fatalf("fired = %d, Now = %v; want 3 at the 21ms window end", fired, ss.Now())
+	}
+}
+
+// shardHaltRun drives a three-shard phase in which shard 0 halts through
+// its own scheduler at 2.5ms (window 2 of a 1ms lattice based at 0), while
+// shard 1 ticks every 300µs and pings shard 2 — so the other shards are
+// free to run ahead of the halting one. With maxLag[0] = 3 the phase must
+// stop after window C = 2-1+3 = 4, i.e. at 5ms: every tick before 5ms
+// fires, none after. Shard 0's wide inbound lags would let it reach its
+// own 9ms event early; only the cap keeps it from running.
+func shardHaltRun(t *testing.T) (ticks, pings int, now time.Duration, st ParallelStats) {
+	t.Helper()
+	lag := [][]int{{1, 3, 2}, {6, 1, 1}, {6, 1, 1}}
+	ss := NewSharded(5, 3, time.Millisecond, lag)
+	ss.Shard(0).At(0, func() {})
+	ss.Shard(0).At(2500*time.Microsecond, ss.Shard(0).Halt)
+	ss.Shard(0).At(9*time.Millisecond, func() { t.Error("shard 0 event after the halt fired") })
+	for at := 300 * time.Microsecond; at < 20*time.Millisecond; at += 300 * time.Microsecond {
+		at := at
+		ss.Shard(1).At(at, func() {
+			ticks++
+			ss.XSchedule(1, 2, at+time.Millisecond, func(any) { pings++ }, nil)
+		})
+	}
+	ss.Run(20 * time.Millisecond)
+	return ticks, pings, ss.Now(), ss.ParallelStats()
+}
+
+func TestShardedShardHaltStopsAtWindow(t *testing.T) {
+	const call, maxLag, w = 2500 * time.Microsecond, 3, time.Millisecond
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	type res struct {
+		ticks, pings int
+		now          time.Duration
+		st           ParallelStats
+	}
+	var got []res
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		ticks, pings, now, st := shardHaltRun(t)
+		got = append(got, res{ticks, pings, now, st})
+	}
+	r := got[0]
+	if r.now != 5*time.Millisecond || r.now > call+(maxLag+1)*w {
+		t.Fatalf("Now = %v, want the end of window C at 5ms (≤ %v)", r.now, call+(maxLag+1)*w)
+	}
+	// Ticks at 0.3ms·i for i = 1..16 lie below 5ms; their pings arrive 1ms
+	// later, so only those below 5ms (i ≤ 13) fire inside the phase.
+	if r.ticks != 16 || r.pings != 13 {
+		t.Fatalf("ticks=%d pings=%d, want 16 and 13: windows ≤ C must all run, none after", r.ticks, r.pings)
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i] != r {
+			t.Fatalf("GOMAXPROCS run %d diverged: %+v vs %+v", i, got[i], r)
+		}
+	}
+}
+
+func TestShardedHaltFromShardEventPanics(t *testing.T) {
+	// The engine cannot tell which shard called it, so an engine-level
+	// Halt from a shard event is refused loudly rather than honoured at a
+	// thread-timing-dependent point.
+	ss := NewSharded(1, 2, time.Millisecond, nil)
+	ss.Shard(1).At(time.Millisecond, ss.Halt)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("engine Halt from a shard event did not panic")
+		}
+	}()
+	ss.Run(10 * time.Millisecond)
 }
 
 func TestShardedLookaheadViolationPanics(t *testing.T) {
 	// An event exchanged with a timestamp inside the current window is a
-	// causality violation; the merge must refuse it loudly.
-	ss := NewSharded(1, 2, time.Millisecond)
+	// causality violation; the engine must refuse it loudly, and the panic
+	// must reach Run's caller even though it is raised on a shard
+	// goroutine.
+	ss := NewSharded(1, 2, time.Millisecond, nil)
 	ss.Shard(0).At(0, func() {
 		ss.XSchedule(0, 1, 0, func(any) {}, nil) // arrival in the past at merge
 	})
@@ -172,7 +257,7 @@ func TestShardedDeterministicReplay(t *testing.T) {
 	// sequences, including cross-shard traffic driven by derived RNG
 	// streams.
 	run := func() (uint64, uint64, time.Duration) {
-		ss := NewSharded(42, 4, time.Millisecond)
+		ss := NewSharded(42, 4, time.Millisecond, nil)
 		envs := make([]*NodeEnv, 4)
 		for i := range envs {
 			envs[i] = ss.NewEnvOn(i, "n")
@@ -205,7 +290,7 @@ func TestShardedRunParksWorkers(t *testing.T) {
 	// Worker goroutines live only inside Run: a finished engine holds no
 	// goroutines (the leak-free teardown contract from PR 3).
 	before := runtime.NumGoroutine()
-	ss := NewSharded(1, 4, time.Millisecond)
+	ss := NewSharded(1, 4, time.Millisecond, nil)
 	for i := 0; i < 4; i++ {
 		e := ss.NewEnvOn(i, "n")
 		// Several events per shard in one window so workers actually spawn.

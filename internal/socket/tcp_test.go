@@ -146,6 +146,14 @@ func TestSocketOverTCP(t *testing.T) {
 			t.Errorf("TCP transfer corrupted: got %d bytes, want %d", len(got), len(payload))
 		}
 	})
+	// The receiver can see EOF before the sender has processed the last
+	// cumulative ACKs, and BytesSent counts acknowledged bytes only: wait
+	// for the FIN's ACK, which covers every payload byte before it.
+	waitFor(t, "sender FIN acked", 30*time.Second, func() bool {
+		acked := false
+		cli.e.Locked(func() { acked = socket.FinAcked(conn) })
+		return acked
+	})
 	cli.e.Locked(func() {
 		if conn.BytesSent != uint64(len(payload)) {
 			t.Errorf("BytesSent=%d want %d", conn.BytesSent, len(payload))

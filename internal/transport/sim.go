@@ -102,7 +102,8 @@ func NewNetwork(sched *simnet.Scheduler, model *netmodel.Model) *Network {
 // per the site assignment (assign[site] = shard, from topology.PlaceSites).
 // Same-shard deliveries go straight onto the shard's heap exactly as in
 // serial mode; cross-shard deliveries are enqueued on the engine's exchange
-// queues and merged at window barriers.
+// queues and merged into the destination shard before the window that
+// needs them.
 func NewShardedNetwork(engine *simnet.ShardedScheduler, model *netmodel.Model, assign []int) (*Network, error) {
 	if len(assign) < netmodel.NumSites {
 		return nil, fmt.Errorf("transport: site assignment covers %d of %d sites", len(assign), netmodel.NumSites)
@@ -303,7 +304,7 @@ func (s *Sim) Busy(d time.Duration) {
 // effect the paper's configuration B stresses. A delivery whose destination
 // site lives on another shard is enqueued on the engine's exchange queues
 // instead of the local heap; the conservative lookahead window guarantees
-// its arrival lands beyond the current window barrier.
+// its arrival lands beyond the sender's current window.
 func (s *Sim) Send(to Addr, msg *message.Message) error {
 	if s.closed {
 		return ErrClosed

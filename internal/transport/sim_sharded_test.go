@@ -22,7 +22,7 @@ func shardedPair(t *testing.T, latency time.Duration) (*simnet.ShardedScheduler,
 	if lookahead <= 0 {
 		t.Fatalf("no lookahead from uniform model: %v", lookahead)
 	}
-	ss := simnet.NewSharded(1, 2, lookahead)
+	ss := simnet.NewSharded(1, 2, lookahead, model.ShardLagMatrix(assign, 2, lookahead))
 	net, err := NewShardedNetwork(ss, model, assign)
 	if err != nil {
 		t.Fatal(err)

@@ -123,24 +123,11 @@ type SimOptions struct {
 	// Shards selects the simulation engine: ≤1 (the default) is the
 	// serial scheduler, byte-identical to earlier releases under a fixed
 	// Seed; >1 partitions the overlay by Grid'5000 site across that many
-	// conservative-PDES shards (clamped to the nine modeled sites) for
-	// multicore scaling. Runs stay deterministic for a fixed (Seed,
-	// Shards) pair at any GOMAXPROCS, but trajectories differ between
-	// shard counts.
+	// window-pipelined conservative-PDES shards (clamped to the nine
+	// modeled sites) for multicore scaling. Runs stay deterministic for a
+	// fixed (Seed, Shards) pair at any GOMAXPROCS, but trajectories differ
+	// between shard counts.
 	Shards int
-	// PipelineWindows is deprecated and ignored: window pipelining is the
-	// default whenever Shards > 1. Set BarrierWindows to opt back out.
-	PipelineWindows bool
-	// BarrierWindows, with Shards > 1, opts out of window pipelining and
-	// runs the sharded engine's original global window barrier: every
-	// shard waits for the globally slowest one between lookahead windows.
-	// The default pipelined path instead runs per-(src,dst) sealed
-	// exchange queues, so shards whose inputs are ready start their next
-	// window immediately. Fixed-seed runs are bit-reproducible at any
-	// GOMAXPROCS on both paths, but trajectories differ between them
-	// (window boundaries move), so determinism is per
-	// (Seed, Shards, BarrierWindows).
-	BarrierWindows bool
 	// Hibernate freeze-dries steady-state edge peers between events:
 	// an idle leased edge's service maps, metric caches and RNG register
 	// are packed into pooled records and released, cutting live heap per
@@ -225,16 +212,15 @@ func NewSimulation(opts SimOptions) (*Simulation, error) {
 		}
 	}
 	spec := deploy.Spec{
-		Seed:           opts.Seed,
-		NumRdv:         opts.Rendezvous,
-		Shards:         opts.Shards,
-		BarrierWindows: opts.BarrierWindows,
-		LeanMetrics:    opts.LeanMetrics,
-		Hibernate:      opts.Hibernate,
-		Topology:       kind,
-		Discovery:      discovery.DefaultConfig(),
-		Socket:         socket.Config{WindowBytes: opts.SocketWindowBytes},
-		Routing:        opts.Routing,
+		Seed:        opts.Seed,
+		NumRdv:      opts.Rendezvous,
+		Shards:      opts.Shards,
+		LeanMetrics: opts.LeanMetrics,
+		Hibernate:   opts.Hibernate,
+		Topology:    kind,
+		Discovery:   discovery.DefaultConfig(),
+		Socket:      socket.Config{WindowBytes: opts.SocketWindowBytes},
+		Routing:     opts.Routing,
 	}
 	spec.Lease.LeaseDuration = opts.LeaseDuration
 	if !opts.DisableSelfHealing {
@@ -673,7 +659,7 @@ func (p *Peer) WriteMetrics(w io.Writer) error { return p.n.Metrics.WritePrometh
 func (p *Peer) TraceEvents() []TraceEvent { return p.n.Trace.Events() }
 
 // OverlayMetrics flattens the overlay-level registry — fabric traffic and,
-// on sharded runs, engine window/barrier instrumentation — into a
+// on sharded runs, engine window instrumentation — into a
 // name→value map. Call between Run calls.
 func (s *Simulation) OverlayMetrics() map[string]float64 { return s.overlay.Metrics.Snapshot() }
 
