@@ -139,20 +139,6 @@ func BenchmarkFig4RightWalkRegime(b *testing.B) {
 	}
 }
 
-// BenchmarkComplexityLCDHTvsChord measures the §3.3 complexity contrast:
-// LC-DHT, Chord-class DHT and flooding on the same network model.
-func BenchmarkComplexityLCDHTvsChord(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunBaselines(32, 30, int64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.LCDHTMsgsPerOp, "lcdht-msgs-op")
-		b.ReportMetric(res.ChordMeanHops, "chord-hops")
-		b.ReportMetric(res.FloodMsgsPerOp, "flood-msgs-op")
-	}
-}
-
 // BenchmarkChurnDiscovery measures the paper's future-work extension:
 // discovery while rendezvous peers crash.
 func BenchmarkChurnDiscovery(b *testing.B) {

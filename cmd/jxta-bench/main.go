@@ -9,11 +9,10 @@
 //	jxta-bench -exp perf -json BENCH_PR1.json   # engine perf point
 //	jxta-bench -exp fig3left -cpuprofile cpu.out -memprofile mem.out
 //
-// Experiments: table1, fig3left, fig3right, fig4left, fig4right,
-// baselines, churn, volatility, ablations, bandwidth, perf, scale, all.
-// -json writes a machine-readable summary of every selected experiment;
-// each PR appends its `perf` point to the benchmark trajectory
-// (BENCH_<PR>.json, see PERFORMANCE.md).
+// `jxta-bench -h` lists the experiments (see registry); -exp takes one
+// name, a comma-separated list, or all. -json writes a machine-readable
+// summary of every selected experiment; each PR appends its `perf` point to
+// the benchmark trajectory (BENCH_<PR>.json, see PERFORMANCE.md).
 //
 // scale measures the sharded conservative-PDES engine (SimOptions.Shards):
 // events/sec and wall time vs shard count on leased-edge workloads at
@@ -55,6 +54,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -66,7 +66,7 @@ import (
 )
 
 var (
-	expFlag        = flag.String("exp", "all", "experiment: table1|fig3left|fig3right|fig4left|fig4right|baselines|churn|volatility|ablations|bandwidth|perf|scale|routing|all")
+	expFlag        = flag.String("exp", "all", "experiment: "+experimentNames()+"|all (comma-separated for several)")
 	quickFlag      = flag.Bool("quick", false, "scaled-down parameters (seconds instead of minutes)")
 	maxHeapPerEdge = flag.Float64("maxheapedge", 0, "scale: fail if the lean memory point's heap_bytes_per_edge exceeds this many bytes (0 disables; the CI memory smoke pins it)")
 	hibernateFlag  = flag.Bool("hibernate", false, "scale: force edge hibernation on every scale workload (lean memory points hibernate regardless; the CI hibernation smoke sets this)")
@@ -77,6 +77,38 @@ var (
 	cpuProfile     = flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
 	memProfile     = flag.String("memprofile", "", "write a heap profile taken after the experiment runs to this file")
 )
+
+// experiment is one -exp entry: its name and the function that runs it and
+// returns its JSON summary.
+type experiment struct {
+	name string
+	run  func() (any, error)
+}
+
+// registry lists every experiment in -exp all order; it also drives the -exp
+// help text and name lookup.
+var registry = []experiment{
+	{"table1", table1},
+	{"fig3left", fig3Left},
+	{"fig3right", fig3Right},
+	{"fig4left", fig4Left},
+	{"fig4right", fig4Right},
+	{"churn", churn},
+	{"volatility", volatility},
+	{"ablations", ablations},
+	{"bandwidth", bandwidth},
+	{"perf", perf},
+	{"scale", scale},
+	{"routing", routingExp},
+}
+
+func experimentNames() string {
+	names := make([]string, len(registry))
+	for i, e := range registry {
+		names[i] = e.name
+	}
+	return strings.Join(names, "|")
+}
 
 func main() {
 	// All failure paths return through run so deferred profile writers
@@ -115,43 +147,27 @@ func run() int {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	runners := map[string]func() (any, error){
-		"table1":     table1,
-		"fig3left":   fig3Left,
-		"fig3right":  fig3Right,
-		"fig4left":   fig4Left,
-		"fig4right":  fig4Right,
-		"baselines":  baselines,
-		"churn":      churn,
-		"volatility": volatility,
-		"ablations":  ablations,
-		"bandwidth":  bandwidth,
-		"perf":       perf,
-		"scale":      scale,
-		"routing":    routingExp,
-	}
-	order := []string{"table1", "fig3left", "fig3right", "fig4left", "fig4right", "baselines", "churn", "volatility", "ablations", "bandwidth", "perf", "scale", "routing"}
-	var selected []string
-	if *expFlag == "all" {
-		selected = order
-	} else {
+	selected := registry
+	if *expFlag != "all" {
+		selected = nil
 		for _, name := range strings.Split(*expFlag, ",") {
-			if _, ok := runners[name]; !ok {
+			i := slices.IndexFunc(registry, func(e experiment) bool { return e.name == name })
+			if i < 0 {
 				fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
 				return 2
 			}
-			selected = append(selected, name)
+			selected = append(selected, registry[i])
 		}
 	}
 	summaries := make(map[string]any, len(selected))
-	for _, name := range selected {
-		fmt.Printf("==== %s ====\n", name)
-		summary, err := runners[name]()
+	for _, e := range selected {
+		fmt.Printf("==== %s ====\n", e.name)
+		summary, err := e.run()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
 			return 1
 		}
-		summaries[name] = summary
+		summaries[e.name] = summary
 		fmt.Println()
 	}
 	if *jsonFlag != "" {
@@ -964,34 +980,6 @@ func routingExp() (any, error) {
 				"churn_mean_hops": pt.ChurnMeanHops,
 			})
 		}
-	}
-	return summary, nil
-}
-
-func baselines() (any, error) {
-	ns := []int{16, 64, 128}
-	ops := 50
-	if *quickFlag {
-		ns = []int{16, 48}
-		ops = 20
-	}
-	fmt.Println("Baselines (§3.3 complexity contrast): LC-DHT vs Chord vs flooding")
-	fmt.Printf("  %-5s %-22s %-28s %-22s\n", "n",
-		"LC-DHT ms / msgs-op", "Chord ms / hops / msgs-op", "Flood ms / msgs-op")
-	var summary []map[string]any
-	for _, n := range ns {
-		res, err := experiments.RunBaselines(n, ops, *seedFlag)
-		if err != nil {
-			return nil, err
-		}
-		summary = append(summary, map[string]any{
-			"n": n, "lcdht_msgs_op": res.LCDHTMsgsPerOp,
-			"chord_hops": res.ChordMeanHops, "flood_msgs_op": res.FloodMsgsPerOp,
-		})
-		fmt.Printf("  %-5d %6.1f / %-13.1f %6.1f / %4.1f / %-13.1f %6.1f / %-10.1f\n",
-			n, res.LCDHTMeanMs, res.LCDHTMsgsPerOp,
-			res.ChordMeanMs, res.ChordMeanHops, res.ChordMsgsPerOp,
-			res.FloodMeanMs, res.FloodMsgsPerOp)
 	}
 	return summary, nil
 }

@@ -18,7 +18,7 @@
 // Edges use the alternates to re-seed their failover rotation when the
 // rendezvous dies silently — the fall-back the peerview provides — and the
 // roster to run a deterministic successor election when *no* rendezvous is
-// reachable at all: the configured PromotionPolicy picks one client, that
+// reachable at all: the election picks the lowest-ID client, that
 // client promotes itself to the rendezvous role (via the hook the node
 // installs), and the others re-lease with it. A gracefully stopping
 // rendezvous goes further and hands its state off explicitly: the client
@@ -93,21 +93,6 @@ func (d Direction) String() string {
 	return "down"
 }
 
-// PromotionPolicy selects the successor among the last-known client roster
-// when edges detect that no rendezvous is reachable. Every client runs the
-// same policy over (a snapshot of) the same roster, so the election needs no
-// extra messages and is deterministic under a fixed seed.
-type PromotionPolicy int
-
-// Promotion policies.
-const (
-	// PromoteLowestID promotes the roster client with the smallest peer ID
-	// (the default; mirrors the peerview's ID-order bias).
-	PromoteLowestID PromotionPolicy = iota
-	// PromoteHighestID promotes the roster client with the largest peer ID.
-	PromoteHighestID
-)
-
 // Config tunes the lease protocol.
 type Config struct {
 	// LeaseDuration is how long a granted lease lasts (default 20 min,
@@ -129,8 +114,6 @@ type Config struct {
 	// lease table off to a successor. Off by default — the wire format and
 	// timer sequence of the paper-faithful protocol stay bit-identical.
 	SelfHeal bool
-	// Promotion picks the successor among the client roster (SelfHeal).
-	Promotion PromotionPolicy
 	// IslandMerge enables gossip-driven merging of fragmented rendezvous
 	// islands: lease requests and grants piggyback checksummed "tier rumor"
 	// records naming every rendezvous the sender ever heard of, so an edge
@@ -978,7 +961,7 @@ func (s *Service) electAndHeal() {
 		s.traceEvent("dormant", ids.Nil)
 		return
 	}
-	succ := pickSuccessor(s.cfg.Promotion, s.roster)
+	succ := pickSuccessor(s.roster)
 	s.m.elections.Inc()
 	s.traceEvent("election", succ.ID)
 	if succ.ID.Equal(s.ep.ID()) {
@@ -1003,11 +986,11 @@ func (s *Service) electAndHeal() {
 	s.requestLease()
 }
 
-// pickSuccessor applies the promotion policy to an ID-sorted roster.
-func pickSuccessor(p PromotionPolicy, roster []peerview.Seed) peerview.Seed {
-	if p == PromoteHighestID {
-		return roster[len(roster)-1]
-	}
+// pickSuccessor elects the successor from an ID-sorted roster: the client
+// with the smallest peer ID, mirroring the peerview's ID-order bias. Every
+// client runs the same election over (a snapshot of) the same roster, so it
+// needs no extra messages and is deterministic under a fixed seed.
+func pickSuccessor(roster []peerview.Seed) peerview.Seed {
 	return roster[0]
 }
 
@@ -1247,7 +1230,7 @@ func (s *Service) chooseHandoffSuccessor() (succ peerview.Seed, ok bool) {
 	if len(roster) == 0 {
 		return peerview.Seed{}, false
 	}
-	return pickSuccessor(s.cfg.Promotion, roster), true
+	return pickSuccessor(roster), true
 }
 
 // receiveLease handles both sides of the lease protocol. Grant and renewal

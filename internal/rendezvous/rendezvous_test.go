@@ -529,11 +529,8 @@ func TestPromotionElectionPolicies(t *testing.T) {
 		roster = []peerview.Seed{b, a}
 		a, b = b, a
 	}
-	if got := pickSuccessor(PromoteLowestID, roster); !got.ID.Equal(a.ID) {
-		t.Fatal("PromoteLowestID picked the wrong successor")
-	}
-	if got := pickSuccessor(PromoteHighestID, roster); !got.ID.Equal(b.ID) {
-		t.Fatal("PromoteHighestID picked the wrong successor")
+	if got := pickSuccessor(roster); !got.ID.Equal(a.ID) {
+		t.Fatal("election did not pick the lowest-ID client")
 	}
 }
 

@@ -12,15 +12,19 @@ import (
 //
 // A phase covers the stretch of virtual time between two driver events (or
 // the horizon) as a lattice of lookahead windows, with no global barrier
-// between them. Cross-shard events travel through per-(src,dst) exchange
-// queues bucketed by the sender's window; a sender "seals" a window when it
-// finishes executing it, and a receiver may execute its window T as soon as
-// every inbound queue is sealed far enough — specifically up to
-// T - lag(src,dst), where the lag matrix counts how many whole windows the
-// (src,dst) latency floor spans. Shards on distant site pairs therefore run
-// several windows apart without ever waiting on each other, which both
-// overlaps wall time and loosens the critical-path speedup bound that a
-// global barrier would cap at the burst-alignment limit.
+// between them. A phase no longer than one lookahead, or any phase of a
+// one-shard engine (which has no cross-shard causality to protect), is a
+// lattice of exactly one window spanning the whole phase; it runs through
+// the same shard loop. Cross-shard events travel through per-(src,dst)
+// exchange queues bucketed by the sender's window; a sender "seals" a
+// window when it finishes executing it, and a receiver may execute its
+// window T as soon as every inbound queue is sealed far enough —
+// specifically up to T - lag(src,dst), where the lag matrix counts how many
+// whole windows the (src,dst) latency floor spans. Shards on distant site
+// pairs therefore run several windows apart without ever waiting on each
+// other, which both overlaps wall time and loosens the critical-path
+// speedup bound that a global barrier would cap at the burst-alignment
+// limit.
 //
 // Determinism: every execution and every queue drain below is decided from
 // event content (timestamps, window indices, sealed watermarks), never from
@@ -61,10 +65,12 @@ type pipeState struct {
 	// latency floor spans (≥ 1): an event emitted during sender window w
 	// arrives no earlier than window w+lag, so the receiver may run window
 	// T once sealed[src] ≥ T-lag[src][dst] for every src. maxLag[s] is the
-	// largest lag out of s.
+	// largest lag out of s, at least 1 (the halting window itself).
 	lag    [][]int32
 	maxLag []int64
-	// pairs are the (src,dst) exchange queues, indexed src*n+dst.
+	// pairs are the (src,dst) exchange queues, indexed src*n+dst. Outside
+	// a phase they hold the quiesced (driver/build context) entries, all
+	// in window -1, until the next flush.
 	pairs []pipePair
 	// sealed[s] is the highest window index shard s has finished (or
 	// promised to stay silent through); -1 at phase start. Written under
@@ -76,14 +82,16 @@ type pipeState struct {
 	curWin []int64
 
 	// Phase extent, written by the coordinator before shard goroutines
-	// spawn: the window lattice is [base + k·W, base + (k+1)·W) for
-	// k ∈ [0, k); end clips the last window.
+	// spawn: the window lattice is [base + i·w, base + (i+1)·w) for
+	// i ∈ [0, k); end clips the last window.
 	base time.Duration
 	end  time.Duration
+	w    time.Duration
 	k    int64
 
-	// inPhase routes XSchedule to the bucket queues while shard
-	// goroutines run; the spawn/join edges order it against their reads.
+	// inPhase makes XSchedule bucket entries by the sender's current window
+	// (and run same-shard ones directly) while shard goroutines run; the
+	// spawn/join edges order it against their reads.
 	inPhase bool
 
 	// last is the highest window the phase may execute: k-1 until a shard
@@ -147,6 +155,7 @@ func (p *pipeState) init(n int, lag [][]int) {
 			panic(fmt.Sprintf("simnet: lag matrix row %d has %d entries, want %d", s, len(lag[s]), n))
 		}
 		p.lag[s] = make([]int32, n)
+		p.maxLag[s] = 1
 		for d := range p.lag[s] {
 			l := 1
 			if lag != nil {
@@ -184,29 +193,24 @@ func (p *pipeState) enqueue(q int, w int64, e xentry) {
 }
 
 // runPhase executes every event in [base, end) across all shards with
-// per-window sealing instead of a barrier. A phase that fits in a single
-// window — or any phase of a one-shard engine, which has no cross-shard
-// causality to protect — runs as exactly one window (no goroutine spawn).
+// per-window sealing instead of a barrier, one goroutine per shard.
 //
 // A shard halts the phase by calling its own scheduler's Halt. Say shard s
 // does so while it runs window h: until s seals h, sealed[s] ≤ h-1, so no
-// shard can have started a window past C = h-1 + maxLag[s]. The phase then
+// other shard can have started a window past h-1 + maxLag[s], and s itself
+// finishes h, so C = h-1 + maxLag[s] with maxLag[s] ≥ 1. The phase then
 // runs every event-bearing window ≤ C and no later one (the minimum C over
 // all halts), and its clocks stop at the end of window C — a stop point
 // fixed by event content, identical at any GOMAXPROCS.
 func (ss *ShardedScheduler) runPhase(base, end time.Duration) {
 	n := len(ss.shards)
-	k := int64(1)
-	if n > 1 {
-		w := ss.lookahead
+	w, k := end-base, int64(1)
+	if n > 1 && w > ss.lookahead {
+		w = ss.lookahead
 		k = int64((end - base + w - 1) / w)
 	}
-	if k <= 1 {
-		ss.runShardWindow(end)
-		return
-	}
 	p := &ss.pipe
-	p.base, p.end, p.k = base, end, k
+	p.base, p.end, p.w, p.k = base, end, w, k
 	p.last.Store(k - 1)
 	for s := 0; s < n; s++ {
 		p.sealed[s].Store(-1)
@@ -249,7 +253,7 @@ func (ss *ShardedScheduler) runPhase(base, end time.Duration) {
 	}
 	if p.halted {
 		ss.halted.Store(true)
-		if e := base + time.Duration(p.last.Load()+1)*ss.lookahead; e < end {
+		if e := base + time.Duration(p.last.Load()+1)*w; e < end {
 			end = e
 		}
 	}
@@ -265,18 +269,7 @@ func (ss *ShardedScheduler) runPhase(base, end time.Duration) {
 			sh.now = end
 		}
 	}
-	for dst := 0; dst < n; dst++ {
-		batch := ss.merged[:0]
-		for src := 0; src < n; src++ {
-			pr := &p.pairs[src*n+dst]
-			for i := range pr.buckets {
-				batch = append(batch, pr.buckets[i].entries...)
-				pr.buckets[i] = pipeBucket{}
-			}
-			pr.buckets = pr.buckets[:0]
-		}
-		ss.mergeInto(dst, batch, end)
-	}
+	ss.flush()
 
 	// Fold phase stats into the engine counters. The critical path of a
 	// phase is the deepest per-shard completion front F — the lag-matrix
@@ -306,8 +299,7 @@ func (ss *ShardedScheduler) pipeShardLoop(s int) {
 	p := &ss.pipe
 	n := len(ss.shards)
 	sh := ss.shards[s]
-	w := ss.lookahead
-	k := p.k
+	w, k := p.w, p.k
 	for {
 		if p.sealed[s].Load() >= p.last.Load() {
 			// Done: nothing up to the last window remains for this shard,
@@ -480,7 +472,7 @@ func (ss *ShardedScheduler) pipeRunWindow(s int, kx int64) {
 	p.batch[s] = batch[:0]
 
 	p.curWin[s] = kx
-	winEnd := p.base + time.Duration(kx+1)*ss.lookahead
+	winEnd := p.base + time.Duration(kx+1)*p.w
 	if winEnd > p.end {
 		winEnd = p.end
 	}
@@ -547,7 +539,7 @@ func histAt(h []fpoint, k int64) uint64 {
 }
 
 // sortXEntries orders a cross-shard batch by (at, src, seq) — the merge
-// order shared by the quiesced merge and the phase drains.
+// order shared by the flush and the phase drains.
 func sortXEntries(batch []xentry) {
 	sort.Slice(batch, func(i, j int) bool {
 		a, b := &batch[i], &batch[j]

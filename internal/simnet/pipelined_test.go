@@ -274,12 +274,19 @@ func TestPipelinedRunLeavesNoGoroutines(t *testing.T) {
 		}
 	}
 	ss.Run(time.Second)
+	waitNoGoroutinesAbove(t, before)
+}
+
+// waitNoGoroutinesAbove fails the test unless the goroutine count drops back
+// to before within two seconds: the leak-free teardown contract.
+func waitNoGoroutinesAbove(t *testing.T, before int) {
+	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		runtime.Gosched()
 		time.Sleep(time.Millisecond)
 	}
 	if got := runtime.NumGoroutine(); got > before {
-		t.Fatalf("%d goroutines after Run, %d before: phase workers leaked", got, before)
+		t.Fatalf("%d goroutines after Run, %d before: shard goroutines leaked", got, before)
 	}
 }

@@ -46,12 +46,6 @@ type xentry struct {
 	src int32
 }
 
-// workerDone reports one shard's window execution back to the coordinator.
-type workerDone struct {
-	shard int
-	steps uint64
-}
-
 // ParallelStats instruments the window machinery. TotalEvents over
 // CriticalEvents is the workload's achievable speedup bound: the critical
 // path is the deepest chain of windows that had to wait on each other, so
@@ -89,13 +83,13 @@ func (p ParallelStats) SpeedupBound() float64 {
 // [T, T+W) for another shard therefore always lands at ≥ T+W — the classic
 // Chandy–Misra–Bryant argument — so shards never need to roll back.
 //
-// Between driver events the shards run window-pipelined (pipelined.go):
-// each shard starts its next window as soon as its own inbound queues are
-// sealed far enough, with no global barrier. Cross-shard events merge in
-// (timestamp, source shard, sequence) order, and every shard runs on a
-// serial scheduler with its own derived seed, so a fixed-seed run is
-// bit-reproducible at any GOMAXPROCS — every scheduling decision is taken
-// from event content alone, never from thread timing.
+// Between driver events the shards run one window-pipelined phase
+// (pipelined.go): each shard starts its next window as soon as its own
+// inbound queues are sealed far enough, with no global barrier. Cross-shard
+// events merge in (timestamp, source shard, sequence) order, and every
+// shard runs on a serial scheduler with its own derived seed, so a
+// fixed-seed run is bit-reproducible at any GOMAXPROCS — every scheduling
+// decision is taken from event content alone, never from thread timing.
 type ShardedScheduler struct {
 	shards    []*Scheduler
 	driver    *Scheduler
@@ -105,23 +99,14 @@ type ShardedScheduler struct {
 	// inShards is set while shard windows execute; Halt uses it to refuse
 	// calls that could only have come from a shard event.
 	inShards atomic.Bool
-	// xq holds the per-pair exchange queues used outside pipelined phases
-	// (driver/build context and single-window phases), indexed
-	// src*len(shards)+dst; xseq is the per-pair FIFO sequence counter,
-	// shared with the phase queues. Each queue is appended to by exactly
-	// one shard goroutine at a time.
-	xq   [][]xentry
+	// xseq is the per-pair FIFO sequence counter of the exchange queues
+	// (pipe.pairs), indexed src*len(shards)+dst. Each counter is advanced
+	// by exactly one shard goroutine at a time.
 	xseq []uint64
-	// jobs/done are the parked worker channels; workers are spawned lazily
-	// on the first multi-busy window of a Run and stopped when Run
-	// returns, so an idle engine holds no goroutines.
-	jobs []chan time.Duration
-	done chan workerDone
-	// merged and dispatch are scratch buffers reused across windows.
-	merged   []xentry
-	dispatch []int
-	stat     ParallelStats
-	pipe     pipeState
+	// merged is the flush scratch buffer.
+	merged []xentry
+	stat   ParallelStats
+	pipe   pipeState
 }
 
 // NewSharded creates a sharded engine with the given number of shards,
@@ -146,7 +131,6 @@ func NewSharded(seed int64, shards int, lookahead time.Duration, lag [][]int) *S
 		shards:    make([]*Scheduler, shards),
 		driver:    NewScheduler(deriveSeed(seed, int64(shards))),
 		lookahead: lookahead,
-		xq:        make([][]xentry, shards*shards),
 		xseq:      make([]uint64, shards*shards),
 	}
 	for i := range ss.shards {
@@ -198,9 +182,6 @@ func (ss *ShardedScheduler) Pending() int {
 	for _, sh := range ss.shards {
 		p += sh.Pending()
 	}
-	for _, q := range ss.xq {
-		p += len(q)
-	}
 	for i := range ss.pipe.pairs {
 		for _, b := range ss.pipe.pairs[i].buckets {
 			p += len(b.entries)
@@ -213,9 +194,8 @@ func (ss *ShardedScheduler) Pending() int {
 // current driver event returns. A shard event cannot name itself through
 // the engine, so it halts through its own shard's scheduler
 // (NodeEnv.Scheduler().Halt()); the engine then stops at a window decided
-// by event content alone — the end of that window when it is the only one
-// running, or, inside a pipelined phase, the furthest window any shard
-// could already have reached (see pipeState.last). Shards mid-window always
+// by event content alone: the end of the furthest window any shard could
+// already have reached (see pipeState.last). Shards mid-window always
 // finish the window; anything finer would make the stop point depend on
 // thread timing and break replay. Calling this method from a shard event
 // panics.
@@ -262,76 +242,62 @@ func (ss *ShardedScheduler) NewEnvOn(shard int, name string) *NodeEnv {
 
 // XSchedule enqueues fn(arg) for the dst shard at absolute time at. It must
 // be called from the src shard's execution context during a window, or from
-// the driver/build context while shards are quiesced. Inside a pipelined
-// phase the entry goes to the (src,dst) bucket of the sender's current
-// window; otherwise it waits in the exchange queue for the next quiesced
-// merge. Either way entries reach dst's heap in (at, src, seq) order. The
-// conservative contract requires at to be no earlier than the end of the
-// sender's window plus the pair's lag — violations panic when the entry is
-// merged.
+// the driver/build context while shards are quiesced. Either way the entry
+// goes to the (src,dst) exchange queue — inside a phase into the bucket of
+// the sender's current window — and reaches dst's heap in (at, src, seq)
+// order, drained by the receiver during the phase or by the next flush.
+// The conservative contract requires at to be no earlier than the end of
+// the sender's window plus the pair's lag — violations panic when the entry
+// is merged.
 func (ss *ShardedScheduler) XSchedule(src, dst int, at time.Duration, fn func(any), arg any) {
+	// Each pair row is written by exactly one shard goroutine, so the seq
+	// counter needs no lock.
 	q := src*len(ss.shards) + dst
 	e := xentry{at: at, seq: ss.xseq[q], fn: fn, arg: arg, src: int32(src)}
 	ss.xseq[q]++
-	if p := &ss.pipe; p.inPhase {
-		// Each pair row is written by exactly one shard goroutine, so the
-		// seq counter needs no lock.
+	p := &ss.pipe
+	w := int64(-1) // quiesced: the next flush drains the queue whole
+	if p.inPhase {
 		if src == dst {
 			ss.shards[dst].AtCall(at, fn, arg)
 			return
 		}
-		p.enqueue(q, p.curWin[src], e)
-		return
+		w = p.curWin[src]
 	}
-	ss.xq[q] = append(ss.xq[q], e)
+	p.enqueue(q, w, e)
 }
 
-// mergeCross drains every exchange queue into its destination shard's heap.
-// Runs at quiesced points only. The per-destination batch is sorted by
-// (timestamp, source shard, sequence) before insertion so the destination's
-// heap order — and therefore replay — never depends on which goroutine
-// filled which queue first.
-func (ss *ShardedScheduler) mergeCross() {
+// flush drains every exchange queue into its destination shard's heap: the
+// quiesced entries at the top of each Run step, and a phase's leftovers at
+// its end. The per-destination batch is sorted by (timestamp, source shard,
+// sequence) before insertion so the destination's heap order — and
+// therefore replay — never depends on which goroutine filled which queue
+// first. An entry earlier than the destination's clock broke the lookahead
+// contract and panics.
+func (ss *ShardedScheduler) flush() {
 	n := len(ss.shards)
-	for dst := 0; dst < n; dst++ {
+	for dst, sh := range ss.shards {
 		batch := ss.merged[:0]
 		for src := 0; src < n; src++ {
-			q := src*n + dst
-			if len(ss.xq[q]) == 0 {
-				continue
+			pr := &ss.pipe.pairs[src*n+dst]
+			for i := range pr.buckets {
+				batch = append(batch, pr.buckets[i].entries...)
+				pr.buckets[i] = pipeBucket{}
 			}
-			batch = append(batch, ss.xq[q]...)
-			for i := range ss.xq[q] {
-				ss.xq[q][i] = xentry{} // release fn/arg references
+			pr.buckets = pr.buckets[:0]
+		}
+		sortXEntries(batch)
+		for i := range batch {
+			e := &batch[i]
+			if e.at < sh.now {
+				panic(fmt.Sprintf("simnet: cross-shard event at %v violates lookahead window ending %v", e.at, sh.now))
 			}
-			ss.xq[q] = ss.xq[q][:0]
+			sh.AtCall(e.at, e.fn, e.arg)
+			*e = xentry{} // release fn/arg references
 		}
-		ss.mergeInto(dst, batch, ss.shards[dst].now)
+		ss.stat.CrossShard += uint64(len(batch))
+		ss.merged = batch[:0]
 	}
-}
-
-// mergeInto sorts a quiesced batch for shard dst into (at, src, seq) order,
-// inserts it, and recycles the buffer as ss.merged. An entry earlier than
-// floor broke the lookahead contract and panics.
-func (ss *ShardedScheduler) mergeInto(dst int, batch []xentry, floor time.Duration) {
-	if len(batch) == 0 {
-		ss.merged = batch
-		return
-	}
-	sortXEntries(batch)
-	sh := ss.shards[dst]
-	for i := range batch {
-		e := &batch[i]
-		if e.at < floor {
-			panic(fmt.Sprintf("simnet: cross-shard event at %v violates lookahead window ending %v", e.at, floor))
-		}
-		sh.AtCall(e.at, e.fn, e.arg)
-	}
-	ss.stat.CrossShard += uint64(len(batch))
-	for i := range batch {
-		batch[i] = xentry{}
-	}
-	ss.merged = batch[:0]
 }
 
 // nextTime returns the earliest live event time across shards and driver.
@@ -367,10 +333,9 @@ func (ss *ShardedScheduler) Run(until time.Duration) uint64 {
 	for _, sh := range ss.shards {
 		sh.halted = false
 	}
-	defer ss.park()
 	horizon := until + 1 // exclusive bound admitting events at exactly until
 	for !ss.halted.Load() {
-		ss.mergeCross()
+		ss.flush()
 		t, ok := ss.nextTime()
 		if !ok || t > until {
 			break
@@ -392,97 +357,4 @@ func (ss *ShardedScheduler) Run(until time.Duration) uint64 {
 		ss.setTime(until)
 	}
 	return ss.Steps() - start
-}
-
-// runShardWindow executes one window [*, end) across all busy shards: the
-// whole phase when it fits in a single window or the engine has one shard.
-// The first busy shard runs inline on the coordinator — on a sparse
-// workload where one shard is busy per window this makes the sharded
-// engine's hot path identical in shape to the serial engine's — and the
-// rest are dispatched to parked worker goroutines.
-func (ss *ShardedScheduler) runShardWindow(end time.Duration) {
-	inline := -1
-	busy := 0
-	toDispatch := ss.dispatch[:0]
-	for i, sh := range ss.shards {
-		if at, ok := sh.nextEventAt(); ok && at < end {
-			busy++
-			if inline < 0 {
-				inline = i
-			} else {
-				toDispatch = append(toDispatch, i)
-			}
-		}
-	}
-	var maxSteps, sumSteps uint64
-	ss.inShards.Store(true)
-	if len(toDispatch) > 0 {
-		ss.ensureWorkers()
-		for _, i := range toDispatch {
-			ss.jobs[i] <- end
-		}
-	}
-	if inline >= 0 {
-		steps := ss.shards[inline].runWindow(end)
-		sumSteps += steps
-		maxSteps = steps
-	}
-	for range toDispatch {
-		d := <-ss.done
-		sumSteps += d.steps
-		if d.steps > maxSteps {
-			maxSteps = d.steps
-		}
-	}
-	ss.inShards.Store(false)
-	ss.dispatch = toDispatch[:0]
-	ss.collectHalts()
-	for _, sh := range ss.shards {
-		if sh.now < end {
-			sh.now = end
-		}
-	}
-	ss.now = end
-	ss.stat.Windows++
-	ss.stat.BusyShardSum += uint64(busy)
-	if busy > ss.stat.MaxBusy {
-		ss.stat.MaxBusy = busy
-	}
-	ss.stat.TotalEvents += sumSteps
-	ss.stat.CriticalEvents += maxSteps
-}
-
-// ensureWorkers spawns one parked goroutine per shard. Each worker owns its
-// shard for the duration of a dispatched window; ownership passes back to
-// the coordinator through the done channel, which is also the happens-before
-// edge making post-window heap reads safe.
-func (ss *ShardedScheduler) ensureWorkers() {
-	if ss.jobs != nil {
-		return
-	}
-	ss.jobs = make([]chan time.Duration, len(ss.shards))
-	ss.done = make(chan workerDone, len(ss.shards))
-	for i := range ss.shards {
-		ch := make(chan time.Duration)
-		ss.jobs[i] = ch
-		go func(i int, ch chan time.Duration) {
-			for end := range ch {
-				ss.done <- workerDone{shard: i, steps: ss.shards[i].runWindow(end)}
-			}
-		}(i, ch)
-	}
-}
-
-// park stops the worker goroutines at the end of a Run, so an idle or
-// finished engine holds no goroutines (the leak-free teardown contract).
-// The next Run respawns them on demand.
-func (ss *ShardedScheduler) park() {
-	if ss.jobs == nil {
-		return
-	}
-	for _, ch := range ss.jobs {
-		close(ch)
-	}
-	ss.jobs = nil
-	ss.done = nil
 }

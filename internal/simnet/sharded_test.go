@@ -51,7 +51,7 @@ func TestShardedEmptyWindowsSkipped(t *testing.T) {
 	}
 }
 
-func TestShardedBarrierMergeOrder(t *testing.T) {
+func TestShardedQuiescedMergeOrder(t *testing.T) {
 	// Entries from both source shards into one destination must execute
 	// in (timestamp, source shard, sequence) order regardless of enqueue
 	// order across queues, when merged at a quiesced point.
@@ -287,24 +287,78 @@ func TestShardedDeterministicReplay(t *testing.T) {
 }
 
 func TestShardedRunParksWorkers(t *testing.T) {
-	// Worker goroutines live only inside Run: a finished engine holds no
-	// goroutines (the leak-free teardown contract from PR 3).
+	// Shard goroutines live only inside Run: a finished engine holds none,
+	// and a second Run on the same engine spawns and joins its own (the
+	// leak-free teardown contract).
 	before := runtime.NumGoroutine()
 	ss := NewSharded(1, 4, time.Millisecond, nil)
 	for i := 0; i < 4; i++ {
 		e := ss.NewEnvOn(i, "n")
-		// Several events per shard in one window so workers actually spawn.
 		for j := 0; j < 8; j++ {
 			e.After(time.Duration(j)*100*time.Microsecond, func() {})
 		}
 	}
 	ss.Run(time.Second)
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
+	waitNoGoroutinesAbove(t, before)
+	for i := 0; i < 4; i++ {
+		ss.Shard(i).At(ss.Now()+time.Duration(i+1)*100*time.Microsecond, func() {})
 	}
-	if got := runtime.NumGoroutine(); got > before {
-		t.Fatalf("%d goroutines after Run, %d before: workers not parked", got, before)
+	ss.Run(2 * time.Second)
+	waitNoGoroutinesAbove(t, before)
+}
+
+func TestShardedSingleWindowPhase(t *testing.T) {
+	// A driver event less than one lookahead after the phase start cuts a
+	// phase of exactly one window. Both busy shards run in it through the
+	// shard loop, and the event they exchange arrives after the driver
+	// event, so it is flushed at the phase end and runs in a later Run.
+	before := runtime.NumGoroutine()
+	ss := NewSharded(1, 2, time.Millisecond, nil)
+	var ran [2]bool
+	delivered := false
+	ss.Shard(0).At(time.Millisecond, func() {
+		ran[0] = true
+		ss.XSchedule(0, 1, 2*time.Millisecond, func(any) { delivered = true }, nil)
+	})
+	ss.Shard(1).At(1200*time.Microsecond, func() { ran[1] = true })
+	ss.After(1500*time.Microsecond, func() {})
+	ss.Run(1500 * time.Microsecond)
+	if !ran[0] || !ran[1] {
+		t.Fatalf("shard events ran = %v, want both", ran)
+	}
+	if st := ss.ParallelStats(); st.Windows != 1 || st.MaxBusy != 2 || st.CrossShard != 1 {
+		t.Fatalf("stats %+v, want one window with two busy shards and one exchange", st)
+	}
+	if delivered || ss.Pending() != 1 {
+		t.Fatalf("delivered = %v, Pending = %d; want the exchange waiting past the driver event", delivered, ss.Pending())
+	}
+	ss.Run(3 * time.Millisecond)
+	if !delivered {
+		t.Fatal("exchanged event never ran")
+	}
+	waitNoGoroutinesAbove(t, before)
+}
+
+func TestShardedSingleShardHaltStopsAtPhaseEnd(t *testing.T) {
+	// One shard with zero lookahead: each phase is one window spanning the
+	// stretch to the next driver event. A shard halt finishes that window
+	// (its later events run) and stops the Run at the window end, before
+	// the driver event that closes it.
+	ss := NewSharded(1, 1, 0, nil)
+	sh := ss.Shard(0)
+	fired, driverRan := 0, false
+	sh.At(2*time.Millisecond, sh.Halt)
+	sh.At(3*time.Millisecond, func() { fired++ })
+	sh.At(8*time.Millisecond, func() { fired++ })
+	sh.At(15*time.Millisecond, func() { fired++ })
+	ss.After(10*time.Millisecond, func() { driverRan = true })
+	ss.Run(20 * time.Millisecond)
+	if fired != 2 || driverRan || ss.Now() != 10*time.Millisecond {
+		t.Fatalf("fired = %d, driver ran = %v, Now = %v; want 2, false at the 10ms window end", fired, driverRan, ss.Now())
+	}
+	// A later Run resumes where the halt left off.
+	ss.Run(20 * time.Millisecond)
+	if fired != 3 || !driverRan || ss.Now() != 20*time.Millisecond {
+		t.Fatalf("after resume fired = %d, driver ran = %v, Now = %v; want 3, true at 20ms", fired, driverRan, ss.Now())
 	}
 }
