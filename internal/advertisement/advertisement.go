@@ -81,8 +81,59 @@ func DecodeXML(data []byte) (Advertisement, error) {
 	return Decode(e)
 }
 
-// EncodeXML renders an advertisement to XML bytes.
-func EncodeXML(a Advertisement) ([]byte, error) { return a.Document().Marshal() }
+// EncodeXML renders an advertisement to XML bytes: one allocation for the
+// two hot shapes (Rdv, Peer).
+func EncodeXML(a Advertisement) ([]byte, error) {
+	return AppendXML(make([]byte, 0, encodedLen(a)), a)
+}
+
+// AppendXML appends the XML encoding of a to dst. The output is
+// byte-identical to a.Document().Marshal(). Rdv and Peer — the
+// advertisements every peerview message and peer lookup carries — are
+// written straight into dst; the other types render their Document.
+func AppendXML(dst []byte, a Advertisement) ([]byte, error) {
+	switch a := a.(type) {
+	case *Rdv:
+		return a.appendXML(dst), nil
+	case *Peer:
+		return a.appendXML(dst), nil
+	}
+	return a.Document().AppendXML(dst)
+}
+
+// encodedLen is the encoded size of a when none of its text needs
+// escaping; 0 for the types AppendXML renders through a Document (which
+// sizes its own buffer).
+func encodedLen(a Advertisement) int {
+	switch a := a.(type) {
+	case *Rdv:
+		return len("<jxta:RdvAdvertisement><RdvPeerID></RdvPeerID><RdvGroupId></RdvGroupId>"+
+			"<Name></Name><Addr></Addr></jxta:RdvAdvertisement>") +
+			2*ids.MaxStringLen + len(a.Name) + len(a.Address)
+	case *Peer:
+		n := len("<jxta:PA><PID></PID><Name></Name></jxta:PA>") + ids.MaxStringLen + len(a.Name)
+		if a.Desc != "" {
+			n += len("<Desc></Desc>") + len(a.Desc)
+		}
+		for _, addr := range a.Addresses {
+			n += len("<Addr></Addr>") + len(addr)
+		}
+		return n
+	}
+	return 0
+}
+
+// appendIDElement appends <name>id</name>. ID text is drawn from
+// [0-9a-z:()-], none of which XML escapes, so it is written unescaped.
+func appendIDElement(dst []byte, name string, id ids.ID) []byte {
+	dst = append(dst, '<')
+	dst = append(dst, name...)
+	dst = append(dst, '>')
+	dst = id.AppendString(dst)
+	dst = append(dst, '<', '/')
+	dst = append(dst, name...)
+	return append(dst, '>')
+}
 
 func parseID(e *document.Element, child string) (ids.ID, error) {
 	text := e.ChildText(child)
@@ -132,6 +183,20 @@ func (p *Peer) Document() *document.Element {
 	return e
 }
 
+// appendXML is the DOM-free form of p.Document().Marshal().
+func (p *Peer) appendXML(dst []byte) []byte {
+	dst = append(dst, "<jxta:PA>"...)
+	dst = appendIDElement(dst, "PID", p.PeerID)
+	dst = document.AppendTextElement(dst, "Name", p.Name)
+	if p.Desc != "" {
+		dst = document.AppendTextElement(dst, "Desc", p.Desc)
+	}
+	for _, a := range p.Addresses {
+		dst = document.AppendTextElement(dst, "Addr", a)
+	}
+	return append(dst, "</jxta:PA>"...)
+}
+
 func decodePeer(e *document.Element) (*Peer, error) {
 	id, err := parseID(e, "PID")
 	if err != nil {
@@ -176,6 +241,16 @@ func (r *Rdv) Document() *document.Element {
 		AppendText("RdvGroupId", r.GroupID.String()).
 		AppendText("Name", r.Name).
 		AppendText("Addr", r.Address)
+}
+
+// appendXML is the DOM-free form of r.Document().Marshal().
+func (r *Rdv) appendXML(dst []byte) []byte {
+	dst = append(dst, "<jxta:RdvAdvertisement>"...)
+	dst = appendIDElement(dst, "RdvPeerID", r.PeerID)
+	dst = appendIDElement(dst, "RdvGroupId", r.GroupID)
+	dst = document.AppendTextElement(dst, "Name", r.Name)
+	dst = document.AppendTextElement(dst, "Addr", r.Address)
+	return append(dst, "</jxta:RdvAdvertisement>"...)
 }
 
 func decodeRdv(e *document.Element) (*Rdv, error) {

@@ -12,6 +12,13 @@
 // a holder that needs to change one takes a MutableCopy (copy-on-write
 // at the mutation boundary) and re-interns the result if it wants the
 // copy shared again.
+//
+// The key is a digest of the canonical encoding. advertisement.AppendXML
+// writes the encoding into a stack buffer that is hashed and dropped;
+// rendezvous and peer advertisements build no DOM on the way. Receivers
+// that hold the wire bytes call InternXML, which looks those bytes up
+// directly: a received advertisement the table already holds costs a
+// hash, not a decode.
 package advstore
 
 import (
@@ -64,17 +71,30 @@ var defaultStore = New()
 // in the process.
 func Default() *Store { return defaultStore }
 
+// keyBufLen sizes the stack buffer keyOf encodes into: enough for any
+// rendezvous or peer advertisement with ordinary names and addresses.
+// Longer encodings spill to the heap and hash the same.
+const keyBufLen = 512
+
+// keyOf returns the key of adv's canonical encoding. The encoding is
+// written into a stack buffer and only hashed; nothing is retained.
 func keyOf(adv advertisement.Advertisement) (key, error) {
-	enc, err := advertisement.EncodeXML(adv)
+	var buf [keyBufLen]byte
+	enc, err := advertisement.AppendXML(buf[:0], adv)
 	if err != nil {
 		return key{}, err
 	}
+	return keyOfBytes(enc), nil
+}
+
+// keyOfBytes returns the key of an encoding.
+func keyOfBytes(enc []byte) key {
 	h := fnv.New128a()
 	h.Write(enc)
 	var k key
 	h.Sum(k.hash[:0])
 	k.size = len(enc)
-	return k, nil
+	return k
 }
 
 // Intern returns a handle on the canonical instance equal to adv,
@@ -98,6 +118,32 @@ func (s *Store) Intern(adv advertisement.Advertisement) *Shared {
 	s.byKey[k] = sh
 	s.misses++
 	return sh
+}
+
+// InternXML returns a handle on the canonical instance encoded by data,
+// the wire form of a received advertisement. Table keys are digests of
+// canonical encodings, so a hit means data *is* the canonical encoding of
+// the held instance: that instance is returned without decoding. On a
+// miss data is decoded and interned under its canonical key, which keeps
+// non-canonical spellings of a held advertisement (whitespace between
+// elements, other entity forms) resolving to the same handle. It errors
+// exactly when advertisement.DecodeXML does; the caller owns one
+// reference otherwise.
+func (s *Store) InternXML(data []byte) (*Shared, error) {
+	k := keyOfBytes(data)
+	s.mu.Lock()
+	if sh, ok := s.byKey[k]; ok {
+		sh.refs++
+		s.hits++
+		s.mu.Unlock()
+		return sh, nil
+	}
+	s.mu.Unlock()
+	adv, err := advertisement.DecodeXML(data)
+	if err != nil {
+		return nil, err
+	}
+	return s.Intern(adv), nil
 }
 
 // Adv returns the canonical instance. Read-only by contract: it is

@@ -18,6 +18,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"unicode/utf8"
 )
@@ -166,7 +167,13 @@ var ErrMixedContent = errors.New("document: element mixes text and children")
 // subset (spaces between attributes, double-quoted values, `&#34;`-style
 // escapes, explicit end tags).
 func (e *Element) Marshal() ([]byte, error) {
-	return e.appendXML(make([]byte, 0, e.Size()+16))
+	return e.AppendXML(nil)
+}
+
+// AppendXML appends the Marshal encoding of the tree to dst, first
+// growing dst by the tree's Size estimate. On error it returns nil.
+func (e *Element) AppendXML(dst []byte) ([]byte, error) {
+	return e.appendXML(slices.Grow(dst, e.Size()+16))
 }
 
 func (e *Element) appendXML(buf []byte) ([]byte, error) {
@@ -198,6 +205,19 @@ func (e *Element) appendXML(buf []byte) ([]byte, error) {
 	buf = append(buf, e.Name...)
 	buf = append(buf, '>')
 	return buf, nil
+}
+
+// AppendTextElement appends <name>text</name> to dst, escaped exactly as
+// Marshal escapes a text-only element. Encoders that know their document
+// shape use it to write straight into a buffer without building a tree.
+func AppendTextElement(dst []byte, name, text string) []byte {
+	dst = append(dst, '<')
+	dst = append(dst, name...)
+	dst = append(dst, '>')
+	dst = appendEscaped(dst, text, false)
+	dst = append(dst, '<', '/')
+	dst = append(dst, name...)
+	return append(dst, '>')
 }
 
 // Escape sequences matching encoding/xml's escapeString (the short numeric

@@ -137,22 +137,25 @@ func (id ID) Equal(other ID) bool { return id == other }
 // "urn:jxta:uuid-5B7D…-peer". The kind suffix is a readability extension;
 // Parse accepts both suffixed and plain forms.
 func (id ID) String() string {
-	if id.IsNil() {
-		return "urn:jxta:nil"
-	}
 	// Built in one allocation: IDs are stringified on every message
 	// construction, so this is a simulation hot path.
-	const prefix = "urn:jxta:uuid-"
-	suffix := id.kind.String()
-	var b strings.Builder
-	b.Grow(len(prefix) + 32 + 1 + len(suffix))
-	b.WriteString(prefix)
-	var h [32]byte
-	hex.Encode(h[:], id.uuid[:])
-	b.Write(h[:])
-	b.WriteByte('-')
-	b.WriteString(suffix)
-	return b.String()
+	return string(id.AppendString(make([]byte, 0, MaxStringLen)))
+}
+
+// MaxStringLen is the length of the longest String form of an ID of a
+// defined kind ("urn:jxta:uuid-" + 32 hex digits + "-module").
+const MaxStringLen = len("urn:jxta:uuid-") + 32 + len("-module")
+
+// AppendString appends the String form of id to dst. Encoders that write
+// IDs into larger buffers use it to skip the intermediate string.
+func (id ID) AppendString(dst []byte) []byte {
+	if id.IsNil() {
+		return append(dst, "urn:jxta:nil"...)
+	}
+	dst = append(dst, "urn:jxta:uuid-"...)
+	dst = hex.AppendEncode(dst, id.uuid[:])
+	dst = append(dst, '-')
+	return append(dst, id.kind.String()...)
 }
 
 // Short returns an abbreviated form (first 8 hex digits) for logs and plots.

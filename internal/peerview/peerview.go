@@ -386,11 +386,15 @@ func (en *entry) release() {
 
 // PeerView runs the protocol for one rendezvous peer.
 type PeerView struct {
-	env   env.Env
-	ep    *endpoint.Endpoint
-	self  *advertisement.Rdv
-	cfg   Config
-	seeds []Seed
+	env  env.Env
+	ep   *endpoint.Endpoint
+	self *advertisement.Rdv
+	// selfXML is self encoded once. self is never mutated and message
+	// payloads are read-only by contract (message.AddString), so every
+	// probe, response, update and merge aliases these bytes.
+	selfXML []byte
+	cfg     Config
+	seeds   []Seed
 
 	// entries is the local peerview, sorted by peer ID, excluding self
 	// (the paper's measurements exclude the local peer, footnote 2).
@@ -430,15 +434,17 @@ type PeerView struct {
 // New builds a peerview for the rendezvous peer described by self. Start
 // must be called to begin the periodic algorithm.
 func New(e env.Env, ep *endpoint.Endpoint, self *advertisement.Rdv, cfg Config, seeds []Seed) *PeerView {
+	selfXML, _ := advertisement.EncodeXML(self) // an Rdv always encodes
 	pv := &PeerView{
-		env:    e,
-		ep:     ep,
-		self:   self,
-		cfg:    cfg.withDefaults(),
-		seeds:  seeds,
-		byID:   make(map[ids.ID]*entry),
-		probed: make(map[ids.ID]time.Duration),
-		missed: make(map[ids.ID]int),
+		env:     e,
+		ep:      ep,
+		self:    self,
+		selfXML: selfXML,
+		cfg:     cfg.withDefaults(),
+		seeds:   seeds,
+		byID:    make(map[ids.ID]*entry),
+		probed:  make(map[ids.ID]time.Duration),
+		missed:  make(map[ids.ID]int),
 	}
 	ep.Register(ServiceName, pv.receive)
 	pv.Instrument(metrics.Discard())
@@ -664,30 +670,40 @@ func (pv *PeerView) notify(kind EventKind, peer ids.ID) {
 	}
 }
 
+// internRdv interns a received RdvAdv payload (advstore.InternXML): equal
+// advertisements received across the whole tier collapse to one canonical
+// decode, and one the table already holds is not decoded again. It returns
+// the canonical advertisement plus the caller's handle on it, or nils when
+// the payload is not a rendezvous advertisement (nothing is then held).
+func (pv *PeerView) internRdv(data []byte) (*advertisement.Rdv, *advstore.Shared) {
+	sh, err := pv.cfg.AdvStore.InternXML(data)
+	if err != nil {
+		return nil, nil
+	}
+	adv, ok := sh.Adv().(*advertisement.Rdv)
+	if !ok {
+		sh.Release()
+		return nil, nil
+	}
+	return adv, sh
+}
+
 // upsert inserts or refreshes an entry from a received advertisement,
-// keeping the slice sorted. It reports whether the entry was new.
-func (pv *PeerView) upsert(adv *advertisement.Rdv) bool {
+// keeping the slice sorted. It takes over the caller's handle sh on adv
+// (see internRdv) and reports whether the entry was new.
+func (pv *PeerView) upsert(adv *advertisement.Rdv, sh *advstore.Shared) bool {
 	if adv.PeerID.Equal(pv.self.PeerID) {
+		sh.Release()
 		return false
 	}
 	pv.ep.AddRoute(adv.PeerID, transport.Addr(adv.Address))
-	// Intern the advertisement: equal Rdv advs (same peer, address, name)
-	// received across the whole tier collapse to one canonical decode.
-	sh := pv.cfg.AdvStore.Intern(adv)
-	canon, ok := sh.Adv().(*advertisement.Rdv)
-	if !ok {
-		// Only possible if another holder interned an equal encoding under
-		// a different decoded type — cannot happen for jxta:RdvAdvertisement.
-		sh.Release()
-		canon, sh = adv, nil
-	}
 	if en, ok := pv.byID[adv.PeerID]; ok {
 		en.release()
-		en.adv, en.sh = canon, sh
+		en.adv, en.sh = adv, sh
 		en.renewed = pv.env.Now()
 		return false
 	}
-	en := &entry{adv: canon, sh: sh, renewed: pv.env.Now()}
+	en := &entry{adv: adv, sh: sh, renewed: pv.env.Now()}
 	pv.byID[adv.PeerID] = en
 	// Binary insertion keeping ID order.
 	lo, hi := 0, len(pv.entries)
@@ -707,34 +723,23 @@ func (pv *PeerView) upsert(adv *advertisement.Rdv) bool {
 	return true
 }
 
-// send transmits a typed peerview message carrying the given advertisement.
-func (pv *PeerView) send(to ids.ID, msgType string, adv *advertisement.Rdv) {
-	m := advertisementMessage(msgType, adv)
-	if m == nil {
-		return
-	}
-	_ = pv.ep.Send(to, ServiceName, m) // unreachable peers age out naturally
-}
-
-func advertisementMessage(msgType string, adv *advertisement.Rdv) *message.Message {
-	data, err := advertisement.EncodeXML(adv)
-	if err != nil {
-		return nil
-	}
+// sendSelf transmits a typed peerview message carrying the local peer's
+// advertisement.
+func (pv *PeerView) sendSelf(to ids.ID, msgType string) {
 	m := message.New()
 	m.AddString(ns, elemType, msgType)
-	m.Add(ns, elemAdv, data)
-	return m
+	m.Add(ns, elemAdv, pv.selfXML)
+	_ = pv.ep.Send(to, ServiceName, m) // unreachable peers age out naturally
 }
 
 func (pv *PeerView) sendProbe(to ids.ID) {
 	pv.m.probes.Inc()
-	pv.send(to, typeProbe, pv.self)
+	pv.sendSelf(to, typeProbe)
 }
 
 func (pv *PeerView) sendUpdate(to ids.ID) {
 	pv.m.updates.Inc()
-	pv.send(to, typeUpdate, pv.self)
+	pv.sendSelf(to, typeUpdate)
 }
 
 // Merge initiates the deterministic peerview merge handshake with a
@@ -758,35 +763,45 @@ func (pv *PeerView) Merge(sd Seed) {
 func (pv *PeerView) sendView(to ids.ID, msgType string) {
 	m := message.New()
 	m.AddString(ns, elemType, msgType)
-	addAdv := func(adv *advertisement.Rdv) {
-		if data, err := advertisement.EncodeXML(adv); err == nil {
-			m.Add(ns, elemAdv, data)
-		}
-	}
-	addAdv(pv.self)
+	m.Add(ns, elemAdv, pv.selfXML)
+	b := pv.newBatch(len(pv.entries))
 	for _, en := range pv.entries {
-		addAdv(en.adv)
+		b.add(m, en.adv)
 	}
 	_ = pv.ep.Send(to, ServiceName, m)
+}
+
+// batch encodes the advertisements of one outgoing message into a single
+// buffer sized for n of them; each RdvAdv element aliases its slice.
+type batch struct{ buf []byte }
+
+// newBatch presizes a batch for n advertisements shaped like self (peer
+// names and addresses in one tier differ by a few bytes).
+func (pv *PeerView) newBatch(n int) batch {
+	return batch{buf: make([]byte, 0, n*(len(pv.selfXML)+16))}
+}
+
+// add encodes adv and appends it to m as an RdvAdv element. Should the
+// buffer outgrow its estimate, elements added earlier keep the old array.
+func (b *batch) add(m *message.Message, adv *advertisement.Rdv) {
+	start := len(b.buf)
+	b.buf, _ = advertisement.AppendXML(b.buf, adv) // an Rdv always encodes
+	m.Add(ns, elemAdv, b.buf[start:len(b.buf):len(b.buf)])
 }
 
 // receiveMerge handles both legs of the merge handshake: union every
 // carried advertisement into the view, answer a request with the (now
 // merged) local list, and notify the merge listener.
-func (pv *PeerView) receiveMerge(src ids.ID, msgType string, m *message.Message) {
+func (pv *PeerView) receiveMerge(src ids.ID, request bool, m *message.Message) {
 	for _, el := range m.Elements() {
 		if el.Namespace != ns || el.Name != elemAdv {
 			continue
 		}
-		advAny, err := advertisement.DecodeXML(el.Data)
-		if err != nil {
-			continue
-		}
-		if adv, ok := advAny.(*advertisement.Rdv); ok {
-			pv.upsert(adv)
+		if adv, sh := pv.internRdv(el.Data); adv != nil {
+			pv.upsert(adv, sh)
 		}
 	}
-	if msgType == typeMerge {
+	if request {
 		pv.sendView(src, typeMergeAck)
 	}
 	if pv.onMerge != nil {
@@ -808,8 +823,9 @@ func (pv *PeerView) receive(src ids.ID, m *message.Message) {
 	// counter — a stale advertisement relayed by a neighbour is not a sign
 	// of life.
 	delete(pv.missed, src)
-	msgType := m.GetString(ns, elemType)
-	if msgType == typeMerge || msgType == typeMergeAck {
+	msgType, _ := m.Get(ns, elemType)
+	switch string(msgType) {
+	case typeMerge, typeMergeAck:
 		// The merge protocol is opt-in: a view whose owner never installed
 		// a merge listener (the rendezvous service installs one only with
 		// IslandMerge enabled) must not bulk-union member lists a foreign
@@ -818,10 +834,8 @@ func (pv *PeerView) receive(src ids.ID, m *message.Message) {
 		if pv.onMerge == nil {
 			return
 		}
-		pv.receiveMerge(src, msgType, m)
-		return
-	}
-	if msgType == typeReferral {
+		pv.receiveMerge(src, string(msgType) == typeMerge, m)
+	case typeReferral:
 		// One referral message carries a batch of advertisements as repeated
 		// RdvAdv elements (JXTA-C ships several advertisements per referral
 		// message); apply each independently.
@@ -829,53 +843,42 @@ func (pv *PeerView) receive(src ids.ID, m *message.Message) {
 			if el.Namespace != ns || el.Name != elemAdv {
 				continue
 			}
-			advAny, err := advertisement.DecodeXML(el.Data)
-			if err != nil {
-				continue
-			}
-			if adv, ok := advAny.(*advertisement.Rdv); ok {
-				pv.receiveReferral(adv)
+			if adv, sh := pv.internRdv(el.Data); adv != nil {
+				pv.receiveReferral(adv, sh)
 			}
 		}
-		return
-	}
-	data, ok := m.Get(ns, elemAdv)
-	if !ok {
-		return
-	}
-	advAny, err := advertisement.DecodeXML(data)
-	if err != nil {
-		return
-	}
-	adv, ok := advAny.(*advertisement.Rdv)
-	if !ok {
-		return
-	}
-
-	switch msgType {
-	case typeProbe:
-		// The probe carries the sender's advertisement: learn/refresh it,
-		// then answer with our own advertisement plus a separate referral
-		// message naming a batch of other rendezvous from the local view.
-		pv.upsert(adv)
-		pv.send(src, typeResponse, pv.self)
-		pv.sendReferrals(src)
-	case typeResponse:
-		pv.upsert(adv)
-	case typeUpdate:
-		pv.upsert(adv)
+	case typeProbe, typeResponse, typeUpdate:
+		data, ok := m.Get(ns, elemAdv)
+		if !ok {
+			return
+		}
+		adv, sh := pv.internRdv(data)
+		if adv == nil {
+			return
+		}
+		pv.upsert(adv, sh)
+		if string(msgType) == typeProbe {
+			// The probe carried the sender's advertisement; answer with our
+			// own plus a separate referral message naming a batch of other
+			// rendezvous from the local view.
+			pv.sendSelf(src, typeResponse)
+			pv.sendReferrals(src)
+		}
 	}
 }
 
-// receiveReferral applies one referred advertisement: a known peer is
-// renewed in place, an unknown one is probed before insertion (§3.2), with
-// per-interval dedup so referral bursts cannot launch duplicate probes.
-func (pv *PeerView) receiveReferral(adv *advertisement.Rdv) {
+// receiveReferral applies one referred advertisement, taking over the
+// caller's handle sh on it: a known peer is renewed in place, an unknown
+// one is probed before insertion (§3.2), with per-interval dedup so
+// referral bursts cannot launch duplicate probes.
+func (pv *PeerView) receiveReferral(adv *advertisement.Rdv, sh *advstore.Shared) {
 	if pv.byID[adv.PeerID] != nil {
 		// Known peer: the referral's fresh advertisement renews it.
-		pv.upsert(adv)
+		pv.upsert(adv, sh)
 		return
 	}
+	// Unknown peers are not held until they answer the probe.
+	sh.Release()
 	if adv.PeerID.Equal(pv.self.PeerID) {
 		return
 	}
@@ -928,6 +931,7 @@ func (pv *PeerView) sendReferrals(to ids.ID) {
 	want := pv.referralBatch()
 	m := message.New()
 	m.AddString(ns, elemType, typeReferral)
+	b := pv.newBatch(want)
 	added := 0
 	for i := 0; i < n && added < want; i++ {
 		if pv.refCursor >= n {
@@ -938,10 +942,8 @@ func (pv *PeerView) sendReferrals(to ids.ID) {
 		if en.adv.PeerID.Equal(to) {
 			continue
 		}
-		if data, err := advertisement.EncodeXML(en.adv); err == nil {
-			m.Add(ns, elemAdv, data)
-			added++
-		}
+		b.add(m, en.adv)
+		added++
 	}
 	if added == 0 {
 		return

@@ -55,6 +55,12 @@ func newOverlay(t *testing.T, sched *simnet.Scheduler, n int, cfg Config) []*tes
 	return peers
 }
 
+// learn interns adv and upserts it, as if it had arrived in a message.
+func learn(pv *PeerView, adv *advertisement.Rdv) bool {
+	sh := pv.cfg.AdvStore.Intern(adv)
+	return pv.upsert(sh.Adv().(*advertisement.Rdv), sh)
+}
+
 func startAll(peers []*testRdv) {
 	for _, p := range peers {
 		p.pv.Start()
@@ -299,7 +305,7 @@ func TestSelfAdvertisementIgnored(t *testing.T) {
 	sched := simnet.NewScheduler(19)
 	peers := newOverlay(t, sched, 2, DefaultConfig())
 	p := peers[0]
-	if p.pv.upsert(p.adv) {
+	if learn(p.pv, p.adv) {
 		t.Fatal("self advertisement inserted")
 	}
 	if p.pv.Size() != 0 {
@@ -316,10 +322,10 @@ func TestUpsertKeepsOrderProperty(t *testing.T) {
 		id := ids.NewRandom(ids.KindPeer, rng)
 		adv := &advertisement.Rdv{PeerID: id, GroupID: testGroup,
 			Name: "x", Address: "sim://rennes/ghost"}
-		p.pv.upsert(adv)
+		learn(p.pv, adv)
 		// Re-upsert half of them to exercise the refresh path.
 		if i%2 == 0 {
-			p.pv.upsert(adv)
+			learn(p.pv, adv)
 		}
 	}
 	view := p.pv.View()
@@ -338,7 +344,7 @@ func TestReferralTriggersProbeNotDirectAdd(t *testing.T) {
 	peers := newOverlay(t, sched, 3, Config{Interval: time.Hour}) // no auto loop
 	a, b, c := peers[0], peers[1], peers[2]
 	// b learns c directly.
-	b.pv.upsert(c.adv)
+	learn(b.pv, c.adv)
 	// a probes b: b responds + refers c; a probes c; c responds; a adds c.
 	a.ep.AddRoute(b.id, b.tr.Addr())
 	a.pv.sendProbe(b.id)
@@ -360,8 +366,8 @@ func TestReferralRefreshesKnownEntry(t *testing.T) {
 	sched := simnet.NewScheduler(31)
 	peers := newOverlay(t, sched, 3, Config{Interval: time.Hour})
 	a, b, c := peers[0], peers[1], peers[2]
-	b.pv.upsert(c.adv)
-	a.pv.upsert(c.adv)
+	learn(b.pv, c.adv)
+	learn(a.pv, c.adv)
 	before := a.pv.byID[c.id].renewed
 	sched.Run(time.Minute) // advance the clock
 	a.ep.AddRoute(b.id, b.tr.Addr())
