@@ -35,7 +35,9 @@ const recordChunk = 64
 // Cache is one peer's advertisement store. Not safe for concurrent use; the
 // env callback serialization covers it.
 type Cache struct {
-	env  env.Env
+	env env.Env
+	// byID, index and numIndex stay nil until the first Put: every read
+	// path tolerates nil maps, so an empty cache costs no map headers.
 	byID map[ids.ID]*Record
 	// index maps "Type+Attr+Value" keys to the sorted advertisement IDs
 	// carrying that field. A sorted slice instead of a set: most keys index
@@ -84,13 +86,7 @@ func New(e env.Env) *Cache { return NewWithStore(e, advstore.Default()) }
 // Deployments pass one store per overlay so equal advertisements dedupe
 // across the population without outliving it.
 func NewWithStore(e env.Env, store *advstore.Store) *Cache {
-	return &Cache{
-		env:      e,
-		byID:     make(map[ids.ID]*Record),
-		index:    make(map[string][]ids.ID),
-		numIndex: make(map[string]*numPostings),
-		store:    store,
-	}
+	return &Cache{env: e, store: store}
 }
 
 // newRecord carves a record out of the arena, preferring recycled ones.
@@ -116,6 +112,10 @@ func (c *Cache) freeRecord(rec *Record) {
 	c.free = append(c.free, rec)
 }
 
+// Quiescent reports whether the cache is idle for hibernation: nothing
+// stored.
+func (c *Cache) Quiescent() bool { return len(c.byID) == 0 }
+
 // Len returns the number of stored advertisements.
 func (c *Cache) Len() int { return len(c.byID) }
 
@@ -135,7 +135,11 @@ func (c *Cache) IndexSize() int {
 // one another peer published first, so callers must not mutate adv after
 // publishing it.
 func (c *Cache) Put(adv advertisement.Advertisement, lifetime time.Duration, local bool) {
-	c.thaw()
+	if c.byID == nil {
+		c.byID = make(map[ids.ID]*Record)
+		c.index = make(map[string][]ids.ID)
+		c.numIndex = make(map[string]*numPostings)
+	}
 	sh := c.store.Intern(adv)
 	adv = sh.Adv()
 	id := adv.ID()

@@ -54,9 +54,10 @@ type Spec struct {
 	Shards int
 	// Hibernate freeze-dries steady-state edge peers between events: once
 	// an edge holds its lease and has no pending queries, streams or
-	// timers beyond the armed renewals, its service maps, metric caches
-	// and RNG register are packed into pooled records and released,
-	// cutting live heap per idle edge by roughly 2-3x. Any inbound
+	// timers beyond the armed renewals, its RNG register is dropped to its
+	// stream position and its endpoint's route and handler tables are
+	// packed into a pooled record, roughly halving live heap per idle
+	// edge (the other services are small while idle without it). Any inbound
 	// delivery, timer fire or direct driver call rehydrates transparently;
 	// event trajectories and wire traffic are byte-identical either way.
 	// Edge-only: rendezvous peers stay hot. Requires the simulated clock
@@ -373,10 +374,6 @@ func (o *Overlay) StopAll() {
 		n.Stop()
 	}
 }
-
-// StopRdv gracefully stops a rendezvous peer (restartable in place: the
-// transport stays attached).
-func (o *Overlay) StopRdv(i int) { o.Rdvs[i].Stop() }
 
 // StopEdge gracefully stops an edge peer, cancelling its lease.
 func (o *Overlay) StopEdge(i int) { o.Edges[i].Stop() }

@@ -146,7 +146,9 @@ type Service struct {
 	cfg   Config
 	busy  BusySink
 
-	index  *srdi.Index // rendezvous role only
+	index *srdi.Index // rendezvous role only
+	// pushed is the delta-push ledger; like costTimers and seen below it
+	// stays nil until its first write.
 	pushed map[string]bool
 	ticker *env.Ticker
 
@@ -165,25 +167,19 @@ type Service struct {
 	// m holds the stored runtime instruments; always non-nil (New
 	// pre-instruments, node.New re-instruments with the node's registry).
 	m *discoMetrics
-
-	// frozen implements edge hibernation; see hibernate.go.
-	frozen *discoFrozen
 }
 
 // New assembles the discovery service over the peer's resolver, rendezvous
 // service and cache. busy may be nil.
 func New(e env.Env, ep *endpoint.Endpoint, res *resolver.Service, rdvSvc *rendezvous.Service, cache *cm.Cache, cfg Config, busy BusySink) *Service {
 	s := &Service{
-		env:        e,
-		ep:         ep,
-		res:        res,
-		rdv:        rdvSvc,
-		cache:      cache,
-		cfg:        cfg.withDefaults(),
-		busy:       busy,
-		pushed:     make(map[string]bool),
-		costTimers: make(map[uint64]env.Timer),
-		seen:       make(map[string]bool),
+		env:   e,
+		ep:    ep,
+		res:   res,
+		rdv:   rdvSvc,
+		cache: cache,
+		cfg:   cfg.withDefaults(),
+		busy:  busy,
 	}
 	s.Instrument(metrics.Discard())
 	res.RegisterHandler(HandlerName, s.handleQuery)
@@ -204,7 +200,7 @@ func New(e env.Env, ep *endpoint.Endpoint, res *resolver.Service, rdvSvc *rendez
 		// a new rendezvous (§3.3).
 		rdvSvc.AddLeaseListener(func(_ ids.ID, connected bool) {
 			if connected {
-				s.pushed = make(map[string]bool)
+				s.pushed = nil
 				s.pushAll()
 			}
 		})
@@ -218,7 +214,6 @@ func New(e env.Env, ep *endpoint.Endpoint, res *resolver.Service, rdvSvc *rendez
 // index (and replicated over the new peerview). Call after the rendezvous
 // service switched roles.
 func (s *Service) Promote() {
-	s.thaw()
 	if s.index != nil || !s.rdv.IsRendezvous() {
 		return
 	}
@@ -229,7 +224,7 @@ func (s *Service) Promote() {
 		s.ticker = nil
 		s.Start()
 	}
-	s.pushed = make(map[string]bool)
+	s.pushed = nil
 	s.pushAll()
 }
 
@@ -242,7 +237,6 @@ func (s *Service) Promote() {
 // deterministic under a fixed seed. Tuples already marked replicated stay
 // replicated at the receiver (no cascade).
 func (s *Service) Rereplicate() {
-	s.thaw()
 	if !s.started() || s.index == nil || !s.rdv.IsRendezvous() {
 		return
 	}
@@ -313,6 +307,9 @@ func (s *Service) Start() {
 func (s *Service) afterCost(d time.Duration, fn func()) {
 	id := s.nextCostID
 	s.nextCostID++
+	if s.costTimers == nil {
+		s.costTimers = make(map[uint64]env.Timer)
+	}
 	s.costTimers[id] = s.env.After(d, func() {
 		delete(s.costTimers, id)
 		fn()
@@ -338,12 +335,17 @@ func (s *Service) Stop() {
 // the query dedup set. The local advertisement cache is application data
 // and survives.
 func (s *Service) Reset() {
-	s.thaw()
 	if s.index != nil {
 		s.index = srdi.New(s.env)
 	}
-	s.pushed = make(map[string]bool)
-	s.seen = make(map[string]bool)
+	s.pushed = nil
+	s.seen = nil
+}
+
+// Quiescent reports whether the service is idle for hibernation: edge role
+// (no SRDI index) and no in-flight scan-cost delays.
+func (s *Service) Quiescent() bool {
+	return s.index == nil && len(s.costTimers) == 0
 }
 
 // --- Publishing ---
@@ -404,15 +406,14 @@ func (s *Service) pushAll() {
 // indexes (and replicates) directly; an edge sends one SRDI message to its
 // lease holder.
 func (s *Service) pushTuples(tuples []srdi.Tuple) {
-	s.thaw()
 	if len(tuples) == 0 {
 		return
 	}
 	if s.rdv.IsRendezvous() {
 		for _, tpl := range tuples {
 			s.indexAndReplicate(tpl, false)
-			s.pushed[tpl.Key] = true
 		}
+		s.markPushed(tuples)
 		return
 	}
 	rdvID, ok := s.rdv.ConnectedRdv()
@@ -425,6 +426,14 @@ func (s *Service) pushTuples(tuples []srdi.Tuple) {
 	}
 	if err := s.ep.Send(rdvID, SRDIService, m); err != nil {
 		return
+	}
+	s.markPushed(tuples)
+}
+
+// markPushed records tuples in the delta-push ledger.
+func (s *Service) markPushed(tuples []srdi.Tuple) {
+	if s.pushed == nil {
+		s.pushed = make(map[string]bool)
 	}
 	for _, tpl := range tuples {
 		s.pushed[tpl.Key] = true
@@ -486,7 +495,6 @@ func (s *Service) started() bool { return s.ticker != nil }
 // receiveSRDI handles index pushes at a rendezvous. Replicated pushes are
 // stored but not re-replicated (loop guard).
 func (s *Service) receiveSRDI(src ids.ID, m *message.Message) {
-	s.thaw()
 	if !s.started() || s.index == nil {
 		return
 	}
@@ -710,7 +718,6 @@ func decodeResponse(data []byte) []advertisement.Advertisement {
 
 // handleQuery is the resolver handler running on every peer.
 func (s *Service) handleQuery(q *resolver.Query) {
-	s.thaw()
 	if !s.started() {
 		return // stopped peers do not serve or route queries
 	}
@@ -741,13 +748,8 @@ func (s *Service) handleQuery(q *resolver.Query) {
 // same query (a range walk can reach this publisher through several
 // rendezvous) are answered once.
 func (s *Service) deliver(q *resolver.Query, body queryBody) {
-	dedup := "dlv/" + q.Src.String() + "/" + strconv.FormatUint(q.QID, 10)
-	if s.seen[dedup] {
+	if !s.markSeen("dlv/" + q.Src.String() + "/" + strconv.FormatUint(q.QID, 10)) {
 		return
-	}
-	s.seen[dedup] = true
-	if len(s.seen) > 16384 {
-		s.seen = make(map[string]bool)
 	}
 	var matches []advertisement.Advertisement
 	if body.isRange() {
@@ -762,15 +764,26 @@ func (s *Service) deliver(q *resolver.Query, body queryBody) {
 	_ = s.res.Respond(q, encodeResponse(matches))
 }
 
+// markSeen records a query dedup key, reporting whether it was new. The
+// set is bounded by a coarse reset; queries are short-lived.
+func (s *Service) markSeen(key string) bool {
+	if s.seen[key] {
+		return false
+	}
+	if s.seen == nil {
+		s.seen = make(map[string]bool)
+	}
+	s.seen[key] = true
+	if len(s.seen) > 16384 {
+		s.seen = nil
+	}
+	return true
+}
+
 // routeQuery runs the rendezvous-side LC-DHT logic.
 func (s *Service) routeQuery(q *resolver.Query, body queryBody) {
-	dedup := q.Src.String() + "/" + strconv.FormatUint(q.QID, 10)
-	if s.seen[dedup] {
+	if !s.markSeen(q.Src.String() + "/" + strconv.FormatUint(q.QID, 10)) {
 		return
-	}
-	s.seen[dedup] = true
-	if len(s.seen) > 16384 {
-		s.seen = make(map[string]bool)
 	}
 
 	if body.stage == stageRange {
@@ -876,7 +889,6 @@ func (s *Service) startWalk(q *resolver.Query, body queryBody) {
 // handleWalk inspects a walked query at each visited rendezvous: on an SRDI
 // hit the query is forwarded to the publisher and the walk stops.
 func (s *Service) handleWalk(origin ids.ID, dir rendezvous.Direction, bodyMsg *message.Message) bool {
-	s.thaw()
 	if !s.started() || s.index == nil {
 		return false
 	}

@@ -231,13 +231,6 @@ func (ep *Endpoint) Register(service string, h Handler) {
 	ep.handlers[service] = h
 }
 
-// Unregister removes a service handler; subsequent messages for the service
-// are counted as drops. Unregistering an unknown name is a no-op.
-func (ep *Endpoint) Unregister(service string) {
-	ep.thaw()
-	delete(ep.handlers, service)
-}
-
 // Transport exposes the underlying transport (deployment-level lifecycle
 // management re-attaches it on restart).
 func (ep *Endpoint) Transport() transport.Transport { return ep.tr }

@@ -34,9 +34,10 @@ type ScaleSpec struct {
 	// target the same populations.
 	Lean bool
 	// Hibernate freeze-dries steady-state edges between events
-	// (deploy.Spec.Hibernate): packed service records replace live maps
-	// and the RNG register while an edge is idle. Trajectories are
-	// byte-identical either way — the goldens replay with it forced on.
+	// (deploy.Spec.Hibernate): a packed endpoint record replaces the live
+	// endpoint maps, and the RNG register is dropped, while an edge is
+	// idle. Trajectories are byte-identical either way — the goldens
+	// replay with it forced on.
 	Hibernate bool
 	// NoHibernate forces hibernation off even when Lean or Hibernate
 	// would turn it on (before/after memory comparisons).

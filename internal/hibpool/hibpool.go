@@ -1,10 +1,11 @@
-// Package hibpool provides tiny sync.Pool-backed free lists for the edge
-// hibernation layer. A hibernating overlay constantly freeze-dries and
-// rehydrates node services: maps are emptied and released on freeze and
-// rebuilt on wake, and a compact "frozen record" is allocated per freeze.
-// Because at most one node executes per shard at any instant, only a
-// handful of each object is ever live at once — pooling turns millions of
-// wake/freeze cycles into near-zero allocator traffic.
+// Package hibpool provides tiny sync.Pool-backed free lists for maps and
+// records that churn at simulation rate: the hibernating endpoint's packed
+// record and map shells, the socket layer's per-connection reassembly maps
+// and the sim transport's arrival clamps. A hibernating overlay constantly
+// freezes and rehydrates endpoints, yet because at most one node executes
+// per shard at any instant, only a handful of each object is ever live at
+// once — pooling turns millions of wake/freeze cycles into near-zero
+// allocator traffic.
 //
 // The pools follow the pattern internal/message established for wire
 // buffers: zero-value-usable package vars, Get-or-make, clear-on-return.

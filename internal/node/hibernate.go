@@ -1,25 +1,29 @@
 package node
 
-// Edge hibernation (PR 9). A steady-state edge — lease held, renewal timer
-// armed, no pending queries, no streams, empty cache — spends minutes of
-// simulated time completely idle, yet retains ~14 KB of live heap: service
-// maps, metric caches, self-healing slices and a ~4.9 KB math/rand
-// register. The hibernation layer freeze-dries all of it between events:
+// Edge hibernation. A steady-state edge — lease held, renewal timer armed,
+// no pending queries, no streams, empty cache — spends minutes of
+// simulated time completely idle. Most of its services are small by
+// construction while idle: their maps stay nil until first written and
+// their handler tables are short slices. Two objects are not, and the
+// hibernation layer releases exactly those between events:
 //
-//   - After every dispatch on the node (timer callback or inbound
-//     delivery), the settle hook checks every service for quiescence and,
-//     if all agree, packs each one into a pooled record (releasing map
-//     shells to free lists) and drops the RNG register, keeping only the
-//     stream position.
-//   - Execution re-enters a node in exactly two ways — an env.After
-//     callback or an inbound endpoint delivery — and both are bracketed by
-//     wake/settle hooks (simnet.NodeEnv.SetHibernation and
-//     endpoint.SetHibernation). Services additionally rehydrate lazily on
-//     first touch, so experiment drivers calling into a hibernated node
-//     directly (Publish, Query, Dial, node verbs) are transparently safe.
+//   - the ~4.9 KB math/rand register, dropped to its stream position
+//     (simnet.NodeEnv.FreezeRand) and rebuilt bit-for-bit on first draw;
+//   - the endpoint's route, handler and counter maps, which are never
+//     empty on a live edge, packed into a pooled record
+//     (endpoint.Freeze) and rebuilt on first touch.
+//
+// After every dispatch on the node (timer callback or inbound delivery),
+// the settle hook checks every service for quiescence and, if all agree,
+// freezes the two. Execution re-enters a node in exactly two ways — an
+// env.After callback or an inbound endpoint delivery — and both are
+// bracketed by wake/settle hooks (simnet.NodeEnv.SetHibernation and
+// endpoint.SetHibernation). The endpoint and the RNG also rehydrate
+// lazily on first touch, so experiment drivers calling into a hibernated
+// node directly (Publish, Query, Dial, node verbs) are transparently safe.
 //
 // Freezing never cancels or re-arms a timer, never allocates IDs and never
-// reorders events, and the packed records are content-preserving, so a
+// reorders events, and the packed record is content-preserving, so a
 // hibernating run's event trajectory and wire traffic are byte-identical
 // to a never-hibernating run. The golden-trajectory suite replays every
 // experiment with hibernation forced on to prove it.
@@ -61,10 +65,10 @@ func (n *Node) EnableHibernation() bool {
 	return true
 }
 
-// hibWake marks the node live. Rehydration itself is lazy — each service
-// thaws on its first touch during the dispatch — so waking costs two
-// stores, and a dispatch that touches nothing (a discovery push tick on an
-// idle edge) re-freezes for free.
+// hibWake marks the node live. Rehydration itself is lazy — the endpoint
+// and the RNG rebuild on their first touch during the dispatch — so waking
+// costs two stores, and a dispatch that touches neither (a discovery push
+// tick on an idle edge) re-freezes for free.
 func (n *Node) hibWake() {
 	if h := n.hib; h != nil && h.frozen {
 		h.frozen = false
@@ -72,9 +76,9 @@ func (n *Node) hibWake() {
 	}
 }
 
-// hibSettle freeze-dries the node if every service is quiescent. Runs
-// after every dispatch on a hibernation-enabled node; the checks are a
-// handful of len() reads.
+// hibSettle freezes the endpoint and the RNG if every service is
+// quiescent. Runs after every dispatch on a hibernation-enabled node; the
+// checks are a handful of len() reads.
 func (n *Node) hibSettle() {
 	h := n.hib
 	if h == nil || h.frozen || n.PeerView != nil {
@@ -86,12 +90,6 @@ func (n *Node) hibSettle() {
 		return
 	}
 	n.Endpoint.Freeze()
-	n.Resolver.Freeze()
-	n.Rendezvous.Freeze()
-	n.Discovery.Freeze()
-	n.Pipe.Freeze()
-	n.Socket.Freeze()
-	n.Cache.Freeze()
 	h.env.FreezeRand()
 	h.frozen = true
 	h.freezes++

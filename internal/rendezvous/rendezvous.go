@@ -218,11 +218,14 @@ type Service struct {
 	ep  *endpoint.Endpoint
 	cfg Config
 
-	// Rendezvous role.
-	pv           *peerview.PeerView // nil on edges
-	clients      map[ids.ID]clientLease
-	clientSweep  *env.Ticker
-	walkHandlers map[string]WalkHandler
+	// Rendezvous role. The maps here and mergeTried below stay nil until
+	// their first write, so an edge carries none of them.
+	pv          *peerview.PeerView // nil on edges
+	clients     map[ids.ID]clientLease
+	clientSweep *env.Ticker
+	// walkHandlers is the per-service walk consumer table in registration
+	// order; a peer registers one or two, so a linear scan beats a map.
+	walkHandlers []walkHandlerEntry
 	walkSeen     map[string]bool
 	nextWalkID   uint64
 
@@ -268,22 +271,20 @@ type Service struct {
 	// trace receives rare protocol transitions and may be nil.
 	m     *rdvMetrics
 	trace *metrics.Trace
+}
 
-	// frozen implements edge hibernation; see hibernate.go. While non-nil
-	// the maps and self-healing slices above live in the packed record.
-	frozen *rdvFrozen
+// walkHandlerEntry is one SetWalkHandler registration.
+type walkHandlerEntry struct {
+	svc string
+	h   WalkHandler
 }
 
 func newService(e env.Env, ep *endpoint.Endpoint, cfg Config) *Service {
 	s := &Service{
-		env:          e,
-		ep:           ep,
-		cfg:          cfg.withDefaults(),
-		clients:      make(map[ids.ID]clientLease),
-		walkHandlers: make(map[string]WalkHandler),
-		walkSeen:     make(map[string]bool),
-		rumors:       peerview.NewRumorStore(),
-		mergeTried:   make(map[ids.ID]time.Duration),
+		env:    e,
+		ep:     ep,
+		cfg:    cfg.withDefaults(),
+		rumors: peerview.NewRumorStore(),
 	}
 	ep.Register(LeaseService, s.receiveLease)
 	ep.Register(WalkService, s.receiveWalk)
@@ -380,7 +381,7 @@ func (s *Service) maybeMerge(sd peerview.Seed) {
 	if at, tried := s.mergeTried[sd.ID]; tried && now-at < retry {
 		return
 	}
-	s.mergeTried[sd.ID] = now
+	s.markMergeTried(sd.ID)
 	if sd.Addr != "" {
 		s.ep.AddRoute(sd.ID, sd.Addr)
 	}
@@ -462,9 +463,17 @@ func (s *Service) receiveTierAck(src ids.ID, m *message.Message) {
 		return
 	}
 	if !s.pv.Contains(r.ID) {
-		s.mergeTried[r.ID] = s.env.Now()
+		s.markMergeTried(r.ID)
 		s.pv.Merge(r.Seed)
 	}
+}
+
+// markMergeTried stamps a merge initiation toward id with the current time.
+func (s *Service) markMergeTried(id ids.ID) {
+	if s.mergeTried == nil {
+		s.mergeTried = make(map[ids.ID]time.Duration)
+	}
+	s.mergeTried[id] = s.env.Now()
 }
 
 // onPeerviewMerge completes a merge handshake leg at the rendezvous level:
@@ -568,8 +577,23 @@ func (s *Service) receiveMergeRoster(src ids.ID, m *message.Message) {
 // every hop. Handlers may be installed while the peer is still an edge;
 // they only run once it holds the rendezvous role.
 func (s *Service) SetWalkHandler(svc string, h WalkHandler) {
-	s.thaw()
-	s.walkHandlers[svc] = h
+	for i := range s.walkHandlers {
+		if s.walkHandlers[i].svc == svc {
+			s.walkHandlers[i].h = h
+			return
+		}
+	}
+	s.walkHandlers = append(s.walkHandlers, walkHandlerEntry{svc: svc, h: h})
+}
+
+// walkHandler returns the walk consumer registered for svc, or nil.
+func (s *Service) walkHandler(svc string) WalkHandler {
+	for _, e := range s.walkHandlers {
+		if e.svc == svc {
+			return e.h
+		}
+	}
+	return nil
 }
 
 // Promote switches an edge-role service to the rendezvous role in place,
@@ -579,7 +603,6 @@ func (s *Service) SetWalkHandler(svc string, h WalkHandler) {
 // registered at construction, so after Promote the peer grants leases,
 // relays walks and joins the peerview gossip immediately.
 func (s *Service) Promote(pv *peerview.PeerView) {
-	s.thaw()
 	if s.IsRendezvous() || pv == nil {
 		return
 	}
@@ -612,7 +635,6 @@ func (s *Service) Promote(pv *peerview.PeerView) {
 // takeover after a crash): each client is granted an implicit lease so
 // propagation fan-out reaches it before it re-leases explicitly.
 func (s *Service) AdoptClients(roster []peerview.Seed, dur time.Duration) {
-	s.thaw()
 	if !s.IsRendezvous() {
 		return
 	}
@@ -626,7 +648,7 @@ func (s *Service) AdoptClients(roster []peerview.Seed, dur time.Duration) {
 		if c.Addr != "" {
 			s.ep.AddRoute(c.ID, c.Addr)
 		}
-		s.clients[c.ID] = clientLease{expires: s.env.Now() + dur, addr: string(c.Addr)}
+		s.setClient(c.ID, clientLease{expires: s.env.Now() + dur, addr: string(c.Addr)})
 		if s.cfg.IslandMerge {
 			s.rumors.AddSeed(c)
 		}
@@ -637,7 +659,6 @@ func (s *Service) AdoptClients(roster []peerview.Seed, dur time.Duration) {
 // lease grant (SelfHeal) — the seed set a promoted edge re-joins the
 // rendezvous network with.
 func (s *Service) Alternates() []peerview.Seed {
-	s.thaw()
 	out := make([]peerview.Seed, len(s.alternates))
 	copy(out, s.alternates)
 	return out
@@ -645,7 +666,6 @@ func (s *Service) Alternates() []peerview.Seed {
 
 // Roster returns the last-known co-client roster (SelfHeal), sorted by ID.
 func (s *Service) Roster() []peerview.Seed {
-	s.thaw()
 	out := make([]peerview.Seed, len(s.roster))
 	copy(out, s.roster)
 	return out
@@ -658,7 +678,6 @@ func (s *Service) Dormant() bool { return s.dormant }
 // Start begins the role's periodic work: client sweeping for rendezvous,
 // lease acquisition for edges.
 func (s *Service) Start() {
-	s.thaw()
 	if s.started {
 		return
 	}
@@ -682,7 +701,6 @@ func (s *Service) Stop() { s.halt(true) }
 func (s *Service) Abort() { s.halt(false) }
 
 func (s *Service) halt(sendCancel bool) {
-	s.thaw()
 	if !s.started {
 		return
 	}
@@ -726,9 +744,8 @@ func (s *Service) cancelTimers() {
 // increasing — other peers' dedup sets may remember this peer's pre-restart
 // walks.
 func (s *Service) Reset() {
-	s.thaw()
-	s.clients = make(map[ids.ID]clientLease)
-	s.walkSeen = make(map[string]bool)
+	s.clients = nil
+	s.walkSeen = nil
 	s.seedIdx = 0
 	s.failCount = 0
 	s.episodeFails = 0
@@ -738,7 +755,7 @@ func (s *Service) Reset() {
 	s.alternates = nil
 	s.roster = nil
 	s.rumors = peerview.NewRumorStore()
-	s.mergeTried = make(map[ids.ID]time.Duration)
+	s.mergeTried = nil
 }
 
 // --- Edge side: lease acquisition and renewal ---
@@ -746,7 +763,6 @@ func (s *Service) Reset() {
 // AddSeed appends a rendezvous seed at runtime (live joins that discovered
 // the seed's ID via the endpoint hello).
 func (s *Service) AddSeed(seed peerview.Seed) {
-	s.thaw()
 	s.seeds = append(s.seeds, seed)
 }
 
@@ -754,7 +770,6 @@ func (s *Service) AddSeed(seed peerview.Seed) {
 // late AddSeed on an already-started service. It also revives a dormant
 // edge with a fresh failover budget.
 func (s *Service) Connect() {
-	s.thaw()
 	if s.started && !s.IsRendezvous() {
 		s.dormant = false
 		s.awaitingSucc = false
@@ -817,7 +832,6 @@ func (s *Service) candidates() []peerview.Seed {
 // requestLease asks the current candidate for a lease and arms the failover
 // timer.
 func (s *Service) requestLease() {
-	s.thaw()
 	if !s.started || s.IsRendezvous() || s.dormant {
 		return
 	}
@@ -904,7 +918,6 @@ const episodePhases = 8
 // to the rotation, so the next election picks the next candidate — or go
 // dormant once the episode budget is gone.
 func (s *Service) onLeaseTimeout(target ids.ID) {
-	s.thaw()
 	s.grantTimer = nil
 	s.m.timeouts.Inc()
 	s.traceEvent("lease-timeout", target)
@@ -996,10 +1009,25 @@ func pickSuccessor(roster []peerview.Seed) peerview.Seed {
 
 // --- Rendezvous side ---
 
+// setClient records (or refreshes) a client lease.
+func (s *Service) setClient(id ids.ID, cl clientLease) {
+	if s.clients == nil {
+		s.clients = make(map[ids.ID]clientLease)
+	}
+	s.clients[id] = cl
+}
+
+// Quiescent reports whether the service is idle for hibernation: edge
+// role, no lease attempt in flight (the armed renewal timer is the wake
+// source, not a blocker), and every map empty. Dormant edges qualify.
+func (s *Service) Quiescent() bool {
+	return !s.IsRendezvous() && s.grantTimer == nil && !s.awaitingSucc &&
+		len(s.clients) == 0 && len(s.walkSeen) == 0 && len(s.mergeTried) == 0
+}
+
 // Clients returns the edges currently holding leases, in ascending ID order
 // so fan-out paths (pipe propagation) stay deterministic under a fixed seed.
 func (s *Service) Clients() []ids.ID {
-	s.thaw()
 	out := make([]ids.ID, 0, len(s.clients))
 	for id := range s.clients {
 		out = append(out, id)
@@ -1010,7 +1038,6 @@ func (s *Service) Clients() []ids.ID {
 
 // HasClient reports whether the edge currently leases here.
 func (s *Service) HasClient(edge ids.ID) bool {
-	s.thaw()
 	cl, ok := s.clients[edge]
 	return ok && cl.expires > s.env.Now()
 }
@@ -1115,7 +1142,26 @@ func (s *Service) appendGrantRumors(m *message.Message, src ids.ID) {
 // learnGrantState ingests the snapshots a self-healing grant carries,
 // replacing the previous ones wholesale (the grant is authoritative).
 func (s *Service) learnGrantState(m *message.Message) {
+	// Size both snapshots exactly: they are held until the next grant,
+	// and append growth would leave dead capacity on every leased edge.
+	nAlt, nRoster := 0, 0
+	for _, el := range m.Elements() {
+		if el.Namespace == leaseNS {
+			switch el.Name {
+			case elemAlt:
+				nAlt++
+			case elemClient:
+				nRoster++
+			}
+		}
+	}
 	var alts, roster []peerview.Seed
+	if nAlt > 0 {
+		alts = make([]peerview.Seed, 0, nAlt)
+	}
+	if nRoster > 0 {
+		roster = make([]peerview.Seed, 0, nRoster)
+	}
 	for _, el := range m.Elements() {
 		if el.Namespace != leaseNS {
 			continue
@@ -1147,7 +1193,7 @@ func (s *Service) learnGrantState(m *message.Message) {
 			}
 		}
 	}
-	if alts != nil || roster != nil {
+	if len(alts) > 0 || len(roster) > 0 {
 		s.alternates = alts
 		s.roster = roster
 	}
@@ -1238,7 +1284,6 @@ func (s *Service) chooseHandoffSuccessor() (succ peerview.Seed, ok bool) {
 // serve leases nor arm a renewal timer off a late grant (the leak-free
 // teardown contract); only the state-shedding Cancel branch always runs.
 func (s *Service) receiveLease(src ids.ID, m *message.Message) {
-	s.thaw()
 	if req := m.GetString(leaseNS, elemRequest); req != "" {
 		if !s.started || !s.IsRendezvous() {
 			return // edges and stopped peers do not grant leases
@@ -1252,10 +1297,10 @@ func (s *Service) receiveLease(src ids.ID, m *message.Message) {
 		} else {
 			s.m.granted.Inc()
 		}
-		s.clients[src] = clientLease{
+		s.setClient(src, clientLease{
 			expires: s.env.Now() + dur,
 			addr:    m.GetString(leaseNS, elemAddr),
-		}
+		})
 		if s.cfg.IslandMerge {
 			for _, el := range m.Elements() {
 				if el.Namespace != leaseNS || el.Name != elemRumor {
@@ -1367,10 +1412,10 @@ func (s *Service) receiveHandoff(m *message.Message) {
 			continue
 		}
 		s.ep.AddRoute(sd.ID, sd.Addr)
-		s.clients[sd.ID] = clientLease{
+		s.setClient(sd.ID, clientLease{
 			expires: now + time.Duration(remaining),
 			addr:    string(sd.Addr),
-		}
+		})
 	}
 }
 
@@ -1453,9 +1498,12 @@ func (s *Service) receiveWalk(src ids.ID, m *message.Message) {
 	if wid == "" || s.walkSeen[wid] {
 		return // loop guard on inconsistent views
 	}
+	if s.walkSeen == nil {
+		s.walkSeen = make(map[string]bool)
+	}
 	s.walkSeen[wid] = true
 	if len(s.walkSeen) > 8192 {
-		s.walkSeen = make(map[string]bool) // coarse reset; walks are short-lived
+		s.walkSeen = nil // coarse reset; walks are short-lived
 	}
 	originID, err := ids.Parse(m.GetString(walkNS, elemOrigin))
 	if err != nil {
@@ -1473,7 +1521,7 @@ func (s *Service) receiveWalk(src ids.ID, m *message.Message) {
 	if dirStr == Down.String() {
 		dir = Down
 	}
-	if h := s.walkHandlers[m.GetString(walkNS, elemSvc)]; h != nil && h(originID, dir, body) {
+	if h := s.walkHandler(m.GetString(walkNS, elemSvc)); h != nil && h(originID, dir, body) {
 		return // handler satisfied the walk
 	}
 	if ttl <= 1 {

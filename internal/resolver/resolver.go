@@ -66,12 +66,12 @@ type Service struct {
 	env env.Env
 	ep  *endpoint.Endpoint
 
-	handlers map[string]Handler
-	pending  map[uint64]*pendingQuery
-	nextQID  uint64
-
-	// frozen implements edge hibernation; see hibernate.go.
-	frozen *resFrozen
+	// handlers holds the registered query handlers in registration order.
+	// A peer registers one or two, so a linear scan beats a map.
+	handlers []handlerEntry
+	// pending stays nil until the first locally issued query.
+	pending map[uint64]*pendingQuery
+	nextQID uint64
 
 	// Timeout is how long a locally issued query waits for its first
 	// response before the timeout callback fires. Zero disables timeouts.
@@ -80,6 +80,15 @@ type Service struct {
 	// m holds the runtime instruments; always non-nil (New pre-instruments,
 	// node.New re-instruments with the node's shared registry).
 	m *resMetrics
+}
+
+// handlerEntry is one registered handler and its dispatch counter (created
+// on the first dispatch, so only handlers that served a query export a
+// labeled series).
+type handlerEntry struct {
+	name string
+	h    Handler
+	c    *metrics.Counter
 }
 
 type pendingQuery struct {
@@ -91,11 +100,9 @@ type pendingQuery struct {
 // New builds the resolver for a peer and registers its endpoint handler.
 func New(e env.Env, ep *endpoint.Endpoint) *Service {
 	s := &Service{
-		env:      e,
-		ep:       ep,
-		handlers: make(map[string]Handler),
-		pending:  make(map[uint64]*pendingQuery),
-		Timeout:  30 * time.Second,
+		env:     e,
+		ep:      ep,
+		Timeout: 30 * time.Second,
 	}
 	ep.Register(ServiceName, s.receive)
 	s.Instrument(metrics.Discard())
@@ -104,16 +111,32 @@ func New(e env.Env, ep *endpoint.Endpoint) *Service {
 
 // RegisterHandler installs (or replaces) the named query handler.
 func (s *Service) RegisterHandler(name string, h Handler) {
-	s.thaw()
-	s.handlers[name] = h
+	if e := s.handler(name); e != nil {
+		e.h = h
+		return
+	}
+	s.handlers = append(s.handlers, handlerEntry{name: name, h: h})
 }
+
+// handler returns the named handler's entry, or nil.
+func (s *Service) handler(name string) *handlerEntry {
+	for i := range s.handlers {
+		if s.handlers[i].name == name {
+			return &s.handlers[i]
+		}
+	}
+	return nil
+}
+
+// Quiescent reports whether the resolver is idle for hibernation: no
+// locally issued query is awaiting a response or timeout.
+func (s *Service) Quiescent() bool { return len(s.pending) == 0 }
 
 // SendQuery issues a query to the given peer (an edge peer sends to its
 // rendezvous; a rendezvous may query any peerview member). cb fires for
 // every response received; onTimeout (optional) fires once if nothing
 // arrived within Timeout. The query ID is returned for correlation.
 func (s *Service) SendQuery(dst ids.ID, handler string, payload []byte, cb ResponseCallback, onTimeout TimeoutCallback) (uint64, error) {
-	s.thaw()
 	s.nextQID++
 	qid := s.nextQID
 	p := &pendingQuery{cb: cb, onTimeout: onTimeout}
@@ -127,6 +150,9 @@ func (s *Service) SendQuery(dst ids.ID, handler string, payload []byte, cb Respo
 				}
 			}
 		})
+	}
+	if s.pending == nil {
+		s.pending = make(map[uint64]*pendingQuery)
 	}
 	s.pending[qid] = p
 
@@ -150,7 +176,6 @@ func (s *Service) SendQuery(dst ids.ID, handler string, payload []byte, cb Respo
 
 // Cancel abandons a pending query; late responses are dropped silently.
 func (s *Service) Cancel(qid uint64) {
-	s.thaw()
 	if p, ok := s.pending[qid]; ok {
 		delete(s.pending, qid)
 		if p.timer != nil {
@@ -165,7 +190,6 @@ func (s *Service) Cancel(qid uint64) {
 // Query IDs keep increasing across restarts (late responses to pre-stop
 // queries must not be confused with answers to new ones).
 func (s *Service) Stop() {
-	s.thaw()
 	for qid, p := range s.pending {
 		if p.timer != nil {
 			p.timer.Cancel()
@@ -219,7 +243,6 @@ func HandlerOf(m *message.Message) string { return m.GetString(ns, elemHandler) 
 
 // receive demultiplexes resolver traffic.
 func (s *Service) receive(src ids.ID, m *message.Message) {
-	s.thaw()
 	qidStr := m.GetString(ns, elemQID)
 	qid, err := strconv.ParseUint(qidStr, 10, 64)
 	if err != nil {
@@ -257,12 +280,15 @@ func (s *Service) receive(src ids.ID, m *message.Message) {
 		return
 	}
 	name := m.GetString(ns, elemHandler)
-	h, ok := s.handlers[name]
-	if !ok {
+	e := s.handler(name)
+	if e == nil {
 		return
 	}
-	s.handlerCounter(name).Inc()
-	h(&Query{
+	if e.c == nil {
+		e.c = s.m.queriesRecvd.With(name)
+	}
+	e.c.Inc()
+	e.h(&Query{
 		Handler: name,
 		QID:     qid,
 		Src:     srcID,

@@ -156,9 +156,6 @@ func (k *Kademlia) N() int { return len(k.nodes) }
 // Alive implements Backend.
 func (k *Kademlia) Alive(i int) bool { return k.nodes[i].alive }
 
-// NodeID returns node i's peer ID (test hook).
-func (k *Kademlia) NodeID(i int) ids.ID { return k.nodes[i].id }
-
 // Publish implements Backend: an iterative FIND_NODE toward the key
 // followed by STOREs at the K closest contacts found.
 func (k *Kademlia) Publish(from int, key string) {

@@ -137,10 +137,6 @@ func ParseStrategy(name string) (Strategy, error) {
 	}
 }
 
-// Distance returns the XOR distance between two points of the identifier
-// space (exported for tests and experiment assertions).
-func Distance(a, b uint64) uint64 { return a ^ b }
-
 // BucketIndex returns the k-bucket index of contact relative to self: the
 // number of leading bits they share. Bucket 0 holds the most distant half
 // of the space. Equal keys have no bucket; callers filter self first.

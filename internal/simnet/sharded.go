@@ -157,9 +157,6 @@ func (ss *ShardedScheduler) Shards() int { return len(ss.shards) }
 // schedule shard-local deliveries and derive per-shard RNG streams.
 func (ss *ShardedScheduler) Shard(i int) *Scheduler { return ss.shards[i] }
 
-// Lookahead returns the conservative window width.
-func (ss *ShardedScheduler) Lookahead() time.Duration { return ss.lookahead }
-
 // ParallelStats returns a snapshot of the window instrumentation.
 func (ss *ShardedScheduler) ParallelStats() ParallelStats { return ss.stat }
 

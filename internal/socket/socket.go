@@ -32,6 +32,7 @@ import (
 	"jxta/internal/advertisement"
 	"jxta/internal/endpoint"
 	"jxta/internal/env"
+	"jxta/internal/hibpool"
 	"jxta/internal/ids"
 	"jxta/internal/message"
 	"jxta/internal/metrics"
@@ -188,6 +189,7 @@ type Service struct {
 	pipes *pipe.Service
 	cfg   Config
 
+	// listeners and conns stay nil until the first Listen or connection.
 	listeners map[ids.ID]*Listener
 	conns     map[connKey]*Conn
 	nextConn  uint64
@@ -197,25 +199,24 @@ type Service struct {
 	// m holds the stored runtime instruments; always non-nil (New
 	// pre-instruments, node.New re-instruments with the node's registry).
 	m *sockMetrics
-
-	// frozen implements edge hibernation; see hibernate.go.
-	frozen *sockFrozen
 }
 
 // New wires the stream layer into a peer's endpoint and pipe services.
 func New(e env.Env, ep *endpoint.Endpoint, pipes *pipe.Service, cfg Config) *Service {
 	s := &Service{
-		env:       e,
-		ep:        ep,
-		pipes:     pipes,
-		cfg:       cfg.withDefaults(),
-		listeners: make(map[ids.ID]*Listener),
-		conns:     make(map[connKey]*Conn),
+		env:   e,
+		ep:    ep,
+		pipes: pipes,
+		cfg:   cfg.withDefaults(),
 	}
 	ep.Register(ServiceName, s.receive)
 	s.Instrument(metrics.Discard())
 	return s
 }
+
+// Quiescent reports whether the service is idle for hibernation: no
+// connection in any state (including TIME_WAIT) occupies the table.
+func (s *Service) Quiescent() bool { return len(s.conns) == 0 }
 
 // Config returns the effective (defaulted) configuration.
 func (s *Service) Config() Config { return s.cfg }
@@ -235,7 +236,6 @@ func (s *Service) Stop() { s.shutdown(true) }
 func (s *Service) Abort() { s.shutdown(false) }
 
 func (s *Service) shutdown(announce bool) {
-	s.thaw()
 	for _, l := range s.sortedListeners() {
 		l.Close()
 	}
@@ -252,9 +252,16 @@ func (s *Service) shutdown(announce bool) {
 // connection ID counter keeps increasing so segments from pre-restart
 // connections can never alias new ones.
 func (s *Service) Reset() {
-	s.thaw()
-	s.listeners = make(map[ids.ID]*Listener)
-	s.conns = make(map[connKey]*Conn)
+	s.listeners = nil
+	s.conns = nil
+}
+
+// addConn enters c into the connection table under its key.
+func (s *Service) addConn(c *Conn) {
+	if s.conns == nil {
+		s.conns = make(map[connKey]*Conn)
+	}
+	s.conns[c.key] = c
 }
 
 // sortedListeners returns the listeners in ascending pipe-ID order.
@@ -332,7 +339,6 @@ type Listener struct {
 // advertisement so dialers can resolve this peer. accept fires once per
 // established inbound connection.
 func (s *Service) Listen(adv *advertisement.Pipe, accept func(*Conn)) (*Listener, error) {
-	s.thaw()
 	if _, dup := s.listeners[adv.PipeID]; dup {
 		return nil, ErrAlreadyBound
 	}
@@ -343,6 +349,9 @@ func (s *Service) Listen(adv *advertisement.Pipe, accept func(*Conn)) (*Listener
 		return nil, err
 	}
 	l := &Listener{svc: s, Adv: adv, in: in, accept: accept}
+	if s.listeners == nil {
+		s.listeners = make(map[ids.ID]*Listener)
+	}
 	s.listeners[adv.PipeID] = l
 	return l, nil
 }
@@ -352,7 +361,6 @@ func (s *Service) Listen(adv *advertisement.Pipe, accept func(*Conn)) (*Listener
 // been accepted (the dialer sees ErrReset rather than a stream nobody
 // serves).
 func (l *Listener) Close() {
-	l.svc.thaw()
 	delete(l.svc.listeners, l.Adv.PipeID)
 	l.in.Close()
 	for _, c := range l.svc.conns {
@@ -378,7 +386,6 @@ func (s *Service) Dial(pipeID ids.ID, cb func(*Conn, error)) {
 // DialPeer handshakes directly with a known binder peer (a route to it must
 // exist or be installable by the endpoint).
 func (s *Service) DialPeer(binder, pipeID ids.ID, cb func(*Conn, error)) {
-	s.thaw()
 	s.nextConn++
 	s.Stats.ConnsDialed++
 	c := s.newConn(connKey{peer: binder, id: s.nextConn, initiated: true})
@@ -390,7 +397,7 @@ func (s *Service) DialPeer(binder, pipeID ids.ID, cb func(*Conn, error)) {
 			c.fail(ErrDialTimeout)
 		}
 	})
-	s.conns[c.key] = c
+	s.addConn(c)
 	c.sendSyn()
 	c.armRetx()
 }
@@ -470,6 +477,12 @@ type Conn struct {
 	Retx      uint64 // retransmitted segments
 }
 
+// oooPool recycles per-conn out-of-order reassembly maps across connection
+// churn: the map is private to the receive path, so it is released the
+// moment a connection leaves the table for good (failure, linger expiry,
+// teardown) while the *Conn itself stays readable by the application.
+var oooPool hibpool.Maps[uint64, []byte]
+
 func (s *Service) newConn(key connKey) *Conn {
 	return &Conn{
 		svc:     s,
@@ -477,6 +490,13 @@ func (s *Service) newConn(key connKey) *Conn {
 		peerWnd: s.cfg.WindowBytes, // until the first advertisement arrives
 		ooo:     oooPool.Get(),
 	}
+}
+
+// releaseOOO recycles the connection's reassembly map once it can no
+// longer receive segments (removed from the table).
+func (c *Conn) releaseOOO() {
+	oooPool.Put(c.ooo)
+	c.ooo = nil
 }
 
 // RemotePeer returns the peer at the other end.
@@ -498,9 +518,6 @@ func (c *Conn) OnReadable(fn func()) { c.onReadable = fn }
 // OnWritable installs a callback invoked whenever send-buffer space frees
 // up after a Write returned short.
 func (c *Conn) OnWritable(fn func()) { c.onWritable = fn }
-
-// Buffered returns the number of bytes available to Read.
-func (c *Conn) Buffered() int { return len(c.recvBuf) }
 
 // sendSpace returns how many bytes Write can currently accept.
 func (c *Conn) sendSpace() int {
@@ -842,7 +859,6 @@ func (c *Conn) sendRst() {
 
 // receive dispatches inbound stream traffic.
 func (s *Service) receive(src ids.ID, m *message.Message) {
-	s.thaw()
 	t := m.GetString(ns, elemType)
 	id, err := strconv.ParseUint(m.GetString(ns, elemConn), 10, 64)
 	if err != nil {
@@ -907,7 +923,7 @@ func (s *Service) handleSyn(src ids.ID, key connKey, m *message.Message) {
 	if wnd, err := strconv.Atoi(m.GetString(ns, elemWnd)); err == nil {
 		c.peerWnd = wnd
 	}
-	s.conns[key] = c
+	s.addConn(c)
 	c.sendSynAck()
 	c.armRetx()
 }

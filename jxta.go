@@ -128,11 +128,12 @@ type SimOptions struct {
 	// between shard counts.
 	Shards int
 	// Hibernate freeze-dries steady-state edge peers between events:
-	// an idle leased edge's service maps, metric caches and RNG register
-	// are packed into pooled records and released, cutting live heap per
-	// idle edge roughly 2-3x at 100k+ populations. Any delivery, timer or
-	// API call on the peer rehydrates transparently, and trajectories are
-	// byte-identical with it on or off. Default off.
+	// an idle leased edge's RNG register is dropped to its stream
+	// position and its endpoint's route and handler tables are packed
+	// into a pooled record, roughly halving live heap per idle edge (the
+	// other services are small while idle without it). Any delivery,
+	// timer or API call on the peer rehydrates transparently, and
+	// trajectories are byte-identical with it on or off. Default off.
 	Hibernate bool
 	// LeanMetrics shares one population-wide metrics registry across all
 	// simulated peers and drops per-node trace rings and gauges — the
